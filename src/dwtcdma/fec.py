@@ -161,7 +161,8 @@ def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
 
 
 def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
+    """Bit streams along the last axis (a 1-D stream or a (rows, n) array)."""
+    arr = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
     if arr.size and arr.max() > 1:
         raise ValueError("bits must be 0 or 1")
     return arr
@@ -169,7 +170,7 @@ def _as_bits(bits) -> np.ndarray:
 
 def encode_block(message) -> np.ndarray:
     """Encode exactly 12 message bits into a 23-bit codeword."""
-    m = _as_bits(message)
+    m = _as_bits(message).ravel()
     if m.size != K_MSG:
         raise ValueError(f"message block must have {K_MSG} bits, got {m.size}")
     word = encode_words(_pack_rows(m[None, :]))
@@ -178,7 +179,7 @@ def encode_block(message) -> np.ndarray:
 
 def decode_block(received) -> tuple[np.ndarray, int]:
     """Decode 23 received bits to (12 message bits, corrected count)."""
-    r = _as_bits(received)
+    r = _as_bits(received).ravel()
     if r.size != N_CODE:
         raise ValueError(f"received block must have {N_CODE} bits, got {r.size}")
     msg, corrected = decode_words(_pack_rows(r[None, :]))
@@ -190,30 +191,33 @@ def encode_stream(bits) -> tuple[np.ndarray, int]:
 
     The input is padded with 0-bits to a multiple of 12 and each block is
     encoded; returns (coded bits, original length) with original length
-    carried out-of-band for the decoder.
+    carried out-of-band for the decoder.  A (rows, n) array encodes each
+    row as its own stream; the original length is then the row length.
     """
     data = _as_bits(bits)
-    original_length = data.size
+    lead, original_length = data.shape[:-1], data.shape[-1]
     if original_length == 0:
-        return np.zeros(0, dtype=np.uint8), 0
+        return np.zeros(lead + (0,), dtype=np.uint8), 0
     pad = (-original_length) % K_MSG
-    padded = np.concatenate([data, np.zeros(pad, dtype=np.uint8)])
+    padded = np.concatenate([data, np.zeros(lead + (pad,), dtype=np.uint8)], axis=-1)
     words = encode_words(_pack_rows(padded.reshape(-1, K_MSG)))
-    return _unpack_words(words, N_CODE).ravel(), original_length
+    return _unpack_words(words, N_CODE).reshape(lead + (-1,)), original_length
 
 
 def decode_stream(bits, original_length: int) -> np.ndarray:
-    """Blockwise decode, concatenate messages, truncate to original_length."""
+    """Blockwise decode, concatenate messages, truncate to original_length
+    (per row of a (rows, n) array)."""
     data = _as_bits(bits)
-    if data.size % N_CODE:
-        raise ValueError(f"coded stream length {data.size} is not a multiple of {N_CODE}")
-    n_blocks = data.size // N_CODE
+    lead, length = data.shape[:-1], data.shape[-1]
+    if length % N_CODE:
+        raise ValueError(f"coded stream length {length} is not a multiple of {N_CODE}")
+    n_blocks = length // N_CODE
     if original_length > K_MSG * n_blocks or original_length < 0:
         raise ValueError(f"original_length {original_length} exceeds stream capacity")
-    if data.size == 0:
-        return np.zeros(0, dtype=np.uint8)
+    if length == 0:
+        return np.zeros(lead + (0,), dtype=np.uint8)
     msgs, _ = decode_words(_pack_rows(data.reshape(-1, N_CODE)))
-    return _unpack_words(msgs, K_MSG).ravel()[:original_length]
+    return _unpack_words(msgs, K_MSG).reshape(lead + (-1,))[..., :original_length]
 
 
 def verify_golay_invariants() -> dict[str, int | bool]:

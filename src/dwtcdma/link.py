@@ -11,8 +11,16 @@ biorthogonal transform.  In the optional total-power mode the transmit
 signal is scaled by 1/sqrt(U) after calibration, holding total transmit
 power constant so each of the U users keeps only a 1/U share of energy.
 
-Randomness: all noise is drawn from the caller's generator, real parts
-first then imaginary parts, one pair of draws per link run.
+From modulated symbols to despread symbols the chain is real-linear, so
+it runs as two real matrices per (code rows, wavelet): T = spread then
+inverse DWT, and R = forward DWT then despread.  They are built once by
+pushing the identity through spread_multiplex/dwt_inverse and
+dwt_forward/despread, which stay as the reference path, and are cached
+by value.  A link run stacks the real and imaginary symbol parts and
+makes one product with T and one with R.
+
+Randomness: all noise is drawn from the caller's generator in one draw
+per link run, real parts first then imaginary parts.
 """
 
 from __future__ import annotations
@@ -85,11 +93,34 @@ def despread(coefficients, spreading: SpreadingMatrix, user: int) -> np.ndarray:
     return groups @ (spreading.rows[user] / np.sqrt(sf))
 
 
-def _despread_all(coefficients: np.ndarray, spreading: SpreadingMatrix, n_users: int) -> np.ndarray:
-    sf = spreading.spreading_factor
-    groups = coefficients.reshape(coefficients.shape[:-1] + (-1, sf))
-    rows = spreading.rows[:n_users].astype(np.float64)
-    return np.einsum("...gj,kj->k...g", groups, rows) / np.sqrt(sf)
+# Operators per (code rows, wavelet).  SpreadingMatrix compares by
+# identity and callers rebuild equal ones, so the key is the chip values.
+_OPERATORS: dict[tuple[bytes, WaveletSpec], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def link_operators(spreading: SpreadingMatrix,
+                   wavelet: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Real matrices (T, R) of the linear chain for all SF code rows.
+
+    Symbol index k*G + g is user k's symbol in slot g of a block.  A row
+    of symbols x (length SF*G) gives the time-domain block x @ T, and a
+    received block y gives the despread symbols y @ R.  The first U*G
+    rows of T and columns of R serve U users.
+    """
+    key = (spreading.rows.tobytes(), wavelet)
+    if key not in _OPERATORS:
+        sf = spreading.spreading_factor
+        group = wavelet.block_size // sf
+        unit_symbols = np.eye(sf * group).reshape(-1, sf, group)
+        coefficients = np.stack([spread_multiplex(s, spreading) for s in unit_symbols])
+        synthesis = np.ascontiguousarray(dwt_inverse(coefficients, wavelet).real)
+        analysis = dwt_forward(np.eye(wavelet.block_size), wavelet)
+        despreading = np.ascontiguousarray(np.concatenate(
+            [despread(analysis, spreading, k) for k in range(sf)], axis=-1).real)
+        for op in (synthesis, despreading):
+            op.setflags(write=False)
+        _OPERATORS[key] = (synthesis, despreading)
+    return _OPERATORS[key]
 
 
 def noise_sigma_for(snr_db: float, config: LinkConfig, mean_symbol_energy: float) -> float:
@@ -109,14 +140,24 @@ def noise_sigma_for(snr_db: float, config: LinkConfig, mean_symbol_energy: float
     return float(np.sqrt(n0 / 2.0))
 
 
-def apply_awgn(signal, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add independent Gaussian noise of std sigma per real dimension."""
+def _noise(shape, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Gaussian noise of std sigma as a real (2, *shape) array: [0] holds
+    the real parts and [1] the imaginary parts, drawn in that order in one
+    call.  sigma == 0 draws nothing."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
-    x = np.asarray(signal, dtype=np.complex128)
     if sigma == 0:
-        return x.copy()
-    return x + sigma * rng.standard_normal(x.shape) + 1j * sigma * rng.standard_normal(x.shape)
+        return np.zeros((2, *shape))
+    noise = rng.standard_normal((2, *shape))
+    noise *= sigma
+    return noise
+
+
+def apply_awgn(signal, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """Add independent Gaussian noise of std sigma per real dimension."""
+    x = np.asarray(signal, dtype=np.complex128)
+    noise = _noise(x.shape, sigma, rng)
+    return x + (noise[0] + 1j * noise[1])
 
 
 def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
@@ -133,53 +174,35 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     n_users, n_info = bits.shape
     scheme = config.scheme
 
-    if config.coded:
-        tx_streams = [fec.encode_stream(bits[k])[0] for k in range(n_users)]
-    else:
-        tx_streams = [bits[k] for k in range(n_users)]
-    n_coded = len(tx_streams[0])
-
-    bps = scheme.bits_per_symbol
-    mod_pad = (-n_coded) % bps
-    n_symbols = (n_coded + mod_pad) // bps
-    symbols = np.empty((n_users, n_symbols), dtype=np.complex128)
-    for k, stream in enumerate(tx_streams):
-        padded = np.concatenate([stream, np.zeros(mod_pad, dtype=np.uint8)])
-        symbols[k] = modulate(padded, scheme)
+    tx_bits = fec.encode_stream(bits)[0] if config.coded else bits
+    n_coded = tx_bits.shape[1]
+    mod_pad = (-n_coded) % scheme.bits_per_symbol
+    symbols = modulate(np.pad(tx_bits, ((0, 0), (0, mod_pad))), scheme)
+    n_symbols = symbols.shape[1]
 
     group = config.symbols_per_block
     n_blocks = max(1, -(-n_symbols // group))
-    slot_pad = n_blocks * group - n_symbols
-    if slot_pad:
-        symbols = np.pad(symbols, ((0, 0), (0, slot_pad)))
+    width = n_users * group
+    # (re/im, U, blocks*G) -> (re/im, blocks, U*G): index k*G + g per block.
+    parts = np.zeros((2, n_users, n_blocks * group))
+    parts[0, :, :n_symbols] = symbols.real
+    parts[1, :, :n_symbols] = symbols.imag
+    parts = parts.reshape(2, n_users, n_blocks, group).transpose(0, 2, 1, 3)
+    parts = parts.reshape(2, n_blocks, width)
 
-    sf = config.spreading.spreading_factor
-    rows = config.spreading.rows[:n_users].astype(np.float64)
-    # (blocks, G, U) x (U, SF) -> (blocks, G, SF) -> (blocks, block_size)
-    grouped = symbols.reshape(n_users, n_blocks, group)
-    coeff_blocks = np.einsum("kbg,kj->bgj", grouped, rows).reshape(n_blocks, -1) / np.sqrt(sf)
-    tx_blocks = dwt_inverse(coeff_blocks, config.wavelet)
+    synthesis, despreading = link_operators(config.spreading, config.wavelet)
+    tx = parts @ synthesis[:width]
 
-    tx = tx_blocks.reshape(-1)
-    energy = float(np.sum(tx.real**2 + tx.imag**2))
-    mean_symbol_energy = energy / max(1, n_users * n_symbols)
+    flat = tx.reshape(-1)
+    mean_symbol_energy = float(flat @ flat) / max(1, n_users * n_symbols)
     sigma = noise_sigma_for(config.snr_db, config, mean_symbol_energy)
     if config.total_power:
         tx = tx / np.sqrt(n_users)
+    rx = tx + _noise(tx.shape[1:], sigma, rng)
 
-    rx = apply_awgn(tx, sigma, rng)
-
-    rx_coeffs = dwt_forward(rx.reshape(n_blocks, -1), config.wavelet)
-    rx_symbols = _despread_all(rx_coeffs, config.spreading, n_users).reshape(n_users, -1)
-    rx_symbols = rx_symbols[:, :n_symbols]
-
-    decoded = np.empty_like(bits)
-    for k in range(n_users):
-        hard = demodulate(rx_symbols[k], scheme)
-        hard = hard[: n_coded]
-        if config.coded:
-            decoded[k] = fec.decode_stream(hard, n_info)
-        else:
-            decoded[k] = hard
+    rx_parts = (rx @ despreading[:, :width]).reshape(2, n_blocks, n_users, group)
+    rx_parts = rx_parts.transpose(0, 2, 1, 3).reshape(2, n_users, -1)[..., :n_symbols]
+    hard = demodulate(rx_parts[0] + 1j * rx_parts[1], scheme)[:, :n_coded]
+    decoded = fec.decode_stream(hard, n_info) if config.coded else hard
     errors = int(np.count_nonzero(decoded != bits))
     return decoded, errors

@@ -14,6 +14,9 @@ assumes the same constellation point, so frame lengths stay exact.
 Differential phase chains are tracked as integer quarter/half turns and
 only converted to complex values once, which keeps long streams free of
 cumulative-product drift.
+
+Both directions act along the last axis: a (users, n) array maps each
+row as its own stream, with its own reference symbol.
 """
 
 from __future__ import annotations
@@ -63,32 +66,37 @@ def bits_per_symbol(scheme) -> int:
 
 
 def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.int64).ravel()
+    arr = np.atleast_1d(np.asarray(bits, dtype=np.int64))
     if arr.size and not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must be 0 or 1")
     return arr
 
 
+def _pairs(b: np.ndarray) -> np.ndarray:
+    return b.reshape(b.shape[:-1] + (-1, 2))
+
+
 def modulate(bits, scheme) -> np.ndarray:
-    """Map a bit stream to unit-energy complex symbols."""
+    """Map a bit stream (or each row of an array of streams) to unit-energy
+    complex symbols."""
     sch = get_scheme(scheme)
     b = _as_bits(bits)
-    if b.size % sch.bits_per_symbol:
+    if b.shape[-1] % sch.bits_per_symbol:
         raise ValueError(
-            f"bit count {b.size} is not divisible by {sch.bits_per_symbol} ({sch.name})"
+            f"bit count {b.shape[-1]} is not divisible by {sch.bits_per_symbol} ({sch.name})"
         )
     if sch.name == "bpsk":
         return (1 - 2 * b).astype(np.complex128)
     if sch.name == "qpsk":
-        pairs = b.reshape(-1, 2)
-        return ((1 - 2 * pairs[:, 0]) + 1j * (1 - 2 * pairs[:, 1])) / _SQRT2
+        pairs = _pairs(b)
+        return ((1 - 2 * pairs[..., 0]) + 1j * (1 - 2 * pairs[..., 1])) / _SQRT2
     if sch.name == "dbpsk":
         # Sign chain in exact integers: s[n] = prod of (1-2b) up to n.
-        return np.cumprod(1 - 2 * b).astype(np.complex128)
+        return np.cumprod(1 - 2 * b, axis=-1).astype(np.complex128)
     # dqpsk: accumulate quarter turns modulo 4 from the reference.
-    pairs = b.reshape(-1, 2)
-    turns = _GRAY_TO_TURNS[2 * pairs[:, 0] + pairs[:, 1]]
-    return _DQPSK_REF * _QUARTER_TURNS[np.cumsum(turns) % 4]
+    pairs = _pairs(b)
+    turns = _GRAY_TO_TURNS[2 * pairs[..., 0] + pairs[..., 1]]
+    return _DQPSK_REF * _QUARTER_TURNS[np.cumsum(turns, axis=-1) % 4]
 
 
 def demodulate(symbols, scheme) -> np.ndarray:
@@ -99,16 +107,18 @@ def demodulate(symbols, scheme) -> np.ndarray:
     DBPSK/DQPSK.
     """
     sch = get_scheme(scheme)
-    r = np.asarray(symbols, dtype=np.complex128).ravel()
+    r = np.atleast_1d(np.asarray(symbols, dtype=np.complex128))
+    lead = r.shape[:-1]
     if sch.name == "bpsk":
         return (r.real < 0).astype(np.uint8)
     if sch.name == "qpsk":
-        return np.column_stack([(r.real < 0), (r.imag < 0)]).astype(np.uint8).ravel()
-    if r.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    prev = np.concatenate([[1.0 if sch.name == "dbpsk" else _DQPSK_REF], r[:-1]])
+        return np.stack([r.real < 0, r.imag < 0], axis=-1).astype(np.uint8).reshape(lead + (-1,))
+    if r.shape[-1] == 0:
+        return np.zeros(r.shape, dtype=np.uint8)
+    ref = np.full(lead + (1,), 1.0 if sch.name == "dbpsk" else _DQPSK_REF, dtype=np.complex128)
+    prev = np.concatenate([ref, r[..., :-1]], axis=-1)
     products = r * np.conj(prev)
     if sch.name == "dbpsk":
         return (products.real < 0).astype(np.uint8)
     turns = np.round(np.angle(products) / (np.pi / 2)).astype(np.int64) % 4
-    return _TURNS_TO_BITS[turns].ravel()
+    return _TURNS_TO_BITS[turns].reshape(lead + (-1,))

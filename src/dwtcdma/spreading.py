@@ -11,6 +11,7 @@ computed in exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -215,8 +216,13 @@ def golay_complementary_matrix(n: int) -> SpreadingMatrix:
     return SpreadingMatrix(FAMILY_GCS, n, rows)
 
 
+@lru_cache(maxsize=None)
 def build_matrix(family: str, n: int) -> SpreadingMatrix:
-    """Build a spreading matrix by family token ('wh', 'gold' or 'gcs')."""
+    """Build a spreading matrix by family token ('wh', 'gold' or 'gcs').
+
+    Memoised: every call with the same arguments returns the same
+    immutable matrix, whose rows are write-protected.
+    """
     if family == FAMILY_WALSH:
         return walsh_hadamard(n)
     if family == FAMILY_GOLD:

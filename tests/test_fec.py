@@ -166,6 +166,17 @@ class TestStreams:
             row[rng.choice(23, size=3, replace=False)] ^= 1
         assert np.array_equal(decode_stream(corrupted.ravel(), n), bits)
 
+    @pytest.mark.parametrize("length", [1, 13, 24])
+    def test_rows_are_independent_streams(self, length):
+        rng = np.random.default_rng(length)
+        bits = rng.integers(0, 2, (3, length)).astype(np.uint8)
+        coded, n = encode_stream(bits)
+        assert n == length
+        assert np.array_equal(coded, np.stack([encode_stream(row)[0] for row in bits]))
+        coded[:, ::5] ^= 1
+        assert np.array_equal(decode_stream(coded, n),
+                              np.stack([decode_stream(row, n) for row in coded]))
+
     def test_decode_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             decode_stream(np.zeros(24, dtype=np.uint8), 12)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwtcdma import link
 from dwtcdma.link import (
     LinkConfig,
     apply_awgn,
@@ -118,6 +119,17 @@ class TestApplyAwgn:
         a = apply_awgn(x, 0.3, np.random.default_rng(7))
         b = apply_awgn(x, 0.3, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+    def test_equals_noise_helper_halves(self):
+        x = np.arange(6, dtype=complex).reshape(2, 3)
+        noise = link._noise(x.shape, 0.3, np.random.default_rng(7))
+        assert np.array_equal(apply_awgn(x, 0.3, np.random.default_rng(7)),
+                              x + (noise[0] + 1j * noise[1]))
+
+    def test_one_draw_is_real_parts_then_imaginary_parts(self):
+        rng = np.random.default_rng(8)
+        separate = [rng.standard_normal(50), rng.standard_normal(50)]
+        assert np.array_equal(link._noise((50,), 1.0, np.random.default_rng(8)), separate)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):

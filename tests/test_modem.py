@@ -64,6 +64,21 @@ class TestRoundTrips:
         bits = rng.integers(0, 2, 10_000)
         assert np.array_equal(demodulate(modulate(bits, name), name), bits)
 
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_rows_are_independent_streams(self, name):
+        # Each row is its own stream with its own differential reference;
+        # row 0 ends its phase chain away from the reference, so a chain
+        # carried over into row 1 would show.
+        rng = np.random.default_rng(43)
+        bits = rng.integers(0, 2, (3, 8 * SCHEMES[name].bits_per_symbol))
+        bits[0] = 0
+        bits[0, 0] = 1
+        symbols = modulate(bits, name)
+        assert np.array_equal(symbols, np.stack([modulate(row, name) for row in bits]))
+        noisy = symbols + 0.4 * rng.standard_normal(symbols.shape)
+        assert np.array_equal(demodulate(noisy, name),
+                              np.stack([demodulate(row, name) for row in noisy]))
+
     def test_dqpsk_worked_example(self):
         bits = [0, 0, 1, 1, 1, 0]
         assert demodulate(modulate(bits, "dqpsk"), "dqpsk").tolist() == bits

@@ -214,5 +214,11 @@ class TestMatrixValidationAndHelpers:
         with pytest.raises(ValueError, match="unknown spreading family"):
             build_matrix("ovsf", 8)
 
+    def test_build_matrix_memoised_and_read_only(self):
+        first = build_matrix("gcs", 8)
+        assert build_matrix("gcs", 8) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first.rows[0, 0] = 1
+
     def test_verify_invariants_all_pass(self):
         assert all(ok for _, ok, _ in verify_spreading_invariants())
