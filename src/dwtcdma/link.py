@@ -11,16 +11,31 @@ biorthogonal transform.  In the optional total-power mode the transmit
 signal is scaled by 1/sqrt(U) after calibration, holding total transmit
 power constant so each of the U users keeps only a 1/U share of energy.
 
-From modulated symbols to despread symbols the chain is real-linear, so
-it runs as two real matrices per (code rows, wavelet): T = spread then
-inverse DWT, and R = forward DWT then despread.  They are built once by
-pushing the identity through spread_multiplex/dwt_inverse and
-dwt_forward/despread, which stay as the reference path, and are cached
-by value.  A link run stacks the real and imaginary symbol parts and
-makes one product with T and one with R.
+From modulated symbols to despread symbols the chain is real-linear:
+two real matrices per (code rows, wavelet), T = spread then inverse DWT
+and R = forward DWT then despread, built by pushing the identity through
+spread_multiplex/dwt_inverse and dwt_forward/despread (the reference
+path, see link_operators).  With the real and imaginary parts of a
+block's w = U*G symbols stacked as rows x, the despread symbols are
 
-Randomness: all noise is drawn from the caller's generator in one draw
-per link run, real parts first then imaginary parts.
+    y = x T_w R_w + n R_w,
+
+where T_w is the first w rows of T, R_w the first w columns of R and n
+white time-domain noise of std sigma per real dimension.  Perfect
+reconstruction and orthogonal codes give T R = I, so the signal term is
+x itself.  The noise term n R_w is Gaussian with covariance
+sigma^2 R_w^T R_w; with C the upper Cholesky factor of R^T R, that is
+the leading w x w block C_w of C, so sigma z C_w with z iid N(0, 1) has
+the same law.  The link therefore runs in the despread-symbol domain:
+it measures the transmitted energy as the sum of x G_w x^T with the Gram
+matrix G = T T^T, and forms y = x + sigma z C_w (x scaled by 1/sqrt(U)
+in total-power mode).  The same law holds for every wavelet; for the
+orthonormal ones G and C are the identity.  (G, C) is built once per
+(code rows, wavelet) and cached by value; a link run slices its leading
+w x w blocks.
+
+Randomness: the noise of a link run is one standard-normal draw of shape
+(2, blocks, U*G), the real parts first and then the imaginary parts.
 """
 
 from __future__ import annotations
@@ -93,11 +108,6 @@ def despread(coefficients, spreading: SpreadingMatrix, user: int) -> np.ndarray:
     return groups @ (spreading.rows[user] / np.sqrt(sf))
 
 
-# Operators per (code rows, wavelet).  SpreadingMatrix compares by
-# identity and callers rebuild equal ones, so the key is the chip values.
-_OPERATORS: dict[tuple[bytes, WaveletSpec], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def link_operators(spreading: SpreadingMatrix,
                    wavelet: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
     """Real matrices (T, R) of the linear chain for all SF code rows.
@@ -105,21 +115,42 @@ def link_operators(spreading: SpreadingMatrix,
     Symbol index k*G + g is user k's symbol in slot g of a block.  A row
     of symbols x (length SF*G) gives the time-domain block x @ T, and a
     received block y gives the despread symbols y @ R.  The first U*G
-    rows of T and columns of R serve U users.
+    rows of T and columns of R serve U users.  Built anew on each call,
+    from the reference cascade; the link itself uses channel_operators.
+    """
+    sf = spreading.spreading_factor
+    group = wavelet.block_size // sf
+    unit_symbols = np.eye(sf * group).reshape(-1, sf, group)
+    coefficients = np.stack([spread_multiplex(s, spreading) for s in unit_symbols])
+    synthesis = np.ascontiguousarray(dwt_inverse(coefficients, wavelet).real)
+    analysis = dwt_forward(np.eye(wavelet.block_size), wavelet)
+    despreading = np.ascontiguousarray(np.concatenate(
+        [despread(analysis, spreading, k) for k in range(sf)], axis=-1).real)
+    return synthesis, despreading
+
+
+# (G, C) per (code rows, wavelet).  SpreadingMatrix compares by identity
+# and callers rebuild equal ones, so the key is the chip values.
+_OPERATORS: dict[tuple[bytes, WaveletSpec], tuple[np.ndarray, np.ndarray]] = {}
+
+
+def channel_operators(spreading: SpreadingMatrix,
+                      wavelet: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix G = T T^T and the upper Cholesky factor C of R^T R.
+
+    With (T, R) from link_operators, a row of symbols x sends energy
+    x @ G @ x, and z @ C with z iid N(0, 1) has the law of white unit
+    noise seen through R.  Their leading w x w blocks serve the first w
+    symbols.  Cached by value; the arrays are read-only.
     """
     key = (spreading.rows.tobytes(), wavelet)
     if key not in _OPERATORS:
-        sf = spreading.spreading_factor
-        group = wavelet.block_size // sf
-        unit_symbols = np.eye(sf * group).reshape(-1, sf, group)
-        coefficients = np.stack([spread_multiplex(s, spreading) for s in unit_symbols])
-        synthesis = np.ascontiguousarray(dwt_inverse(coefficients, wavelet).real)
-        analysis = dwt_forward(np.eye(wavelet.block_size), wavelet)
-        despreading = np.ascontiguousarray(np.concatenate(
-            [despread(analysis, spreading, k) for k in range(sf)], axis=-1).real)
-        for op in (synthesis, despreading):
+        synthesis, despreading = link_operators(spreading, wavelet)
+        gram = synthesis @ synthesis.T
+        factor = np.linalg.cholesky(despreading.T @ despreading).T
+        for op in (gram, factor):
             op.setflags(write=False)
-        _OPERATORS[key] = (synthesis, despreading)
+        _OPERATORS[key] = (gram, factor)
     return _OPERATORS[key]
 
 
@@ -190,17 +221,15 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     parts = parts.reshape(2, n_users, n_blocks, group).transpose(0, 2, 1, 3)
     parts = parts.reshape(2, n_blocks, width)
 
-    synthesis, despreading = link_operators(config.spreading, config.wavelet)
-    tx = parts @ synthesis[:width]
-
-    flat = tx.reshape(-1)
-    mean_symbol_energy = float(flat @ flat) / max(1, n_users * n_symbols)
+    gram, factor = channel_operators(config.spreading, config.wavelet)
+    energy = float(np.vdot(parts @ gram[:width, :width], parts))
+    mean_symbol_energy = energy / max(1, n_users * n_symbols)
     sigma = noise_sigma_for(config.snr_db, config, mean_symbol_energy)
     if config.total_power:
-        tx = tx / np.sqrt(n_users)
-    rx = tx + _noise(tx.shape[1:], sigma, rng)
+        parts = parts / np.sqrt(n_users)
+    rx_parts = parts + _noise(parts.shape[1:], sigma, rng) @ factor[:width, :width]
 
-    rx_parts = (rx @ despreading[:, :width]).reshape(2, n_blocks, n_users, group)
+    rx_parts = rx_parts.reshape(2, n_blocks, n_users, group)
     rx_parts = rx_parts.transpose(0, 2, 1, 3).reshape(2, n_users, -1)[..., :n_symbols]
     hard = demodulate(rx_parts[0] + 1j * rx_parts[1], scheme)[:, :n_coded]
     decoded = fec.decode_stream(hard, n_info) if config.coded else hard

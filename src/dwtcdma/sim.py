@@ -140,7 +140,11 @@ def _chunk_bits_per_user(config: LinkConfig) -> int:
 def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
               max_info_bits: int = DEFAULT_MAX_BITS, seed: int = 0) -> BerRecord:
     """Estimate BER at one point: run fresh payloads until the error
-    target is met or the bit budget is exhausted."""
+    target is met or the bit budget is exhausted.
+
+    bits_sent stays below max_info_bits + num_users: the last chunk is
+    cut to the bits the budget has left.
+    """
     started = time.perf_counter()
     config = link_config_for(point)
     rng = np.random.default_rng(seed)
@@ -149,7 +153,10 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
     bits_sent = 0
     bit_errors = 0
     while bit_errors < min_bit_errors and bits_sent < max_info_bits:
-        payload = rng.integers(0, 2, size=(config.num_users, chunk), dtype=np.uint8)
+        # The last chunk carries only what is left of the budget, rounded up
+        # to whole bits per user.
+        per_user = min(chunk, -(-(max_info_bits - bits_sent) // config.num_users))
+        payload = rng.integers(0, 2, size=(config.num_users, per_user), dtype=np.uint8)
         _, errors = run_link_once(payload, config, rng)
         bit_errors += errors
         bits_sent += payload.size
@@ -291,7 +298,7 @@ def read_results(path) -> list[BerRecord]:
 def _write_manifest(path: Path, config: SimConfig | None, preset: str | None) -> Path:
     from . import __version__
 
-    lines = [f"artifact_version: {__version__}"]
+    lines = [f"dwtcdma_version: {__version__}"]
     if preset:
         lines.append(f"preset: {preset}")
     if config is not None:

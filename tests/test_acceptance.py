@@ -224,16 +224,34 @@ class TestFamilyEquivalence:
                f"qpsk {qpsk.ber:.3e} dqpsk {dqpsk.ber:.3e}")
 
     def test_low_snr_coded_crossover_reported(self):
-        """Report (never assert) where coded QPSK first beats uncoded: the
-        location of the crossover depends entirely on how the SNR axis is
-        normalized, so it is logged for inspection only."""
-        lines = []
-        for snr in (0.0, 2.0, 4.0, 6.0):
-            uncoded = measure(PointSpec(snr, "qpsk", "wh", "haar", False, 7), 300)
-            coded = measure(PointSpec(snr, "qpsk", "wh", "haar", True, 7), 300)
-            state = "coded better" if coded.ber < uncoded.ber else "coded degraded"
-            lines.append(f"{snr:g}dB {state} ({coded.ber:.2e} vs {uncoded.ber:.2e})")
-        report("qpsk-crossover-report", True, "; ".join(lines))
+        """Coded QPSK above uncoded at 2 dB and below it at 4 dB: the
+        crossover lies between 2 and 4 dB, as README documents.
+
+        QPSK with Gray mapping has the per-bit error of BPSK,
+        Q(sqrt(2 Eb/N0)): 3.75e-2 at 2 dB and 1.25e-2 at 4 dB uncoded.
+        The coded symbols carry 12/23 of that energy, so the raw bit
+        error is Q(sqrt(2 * 10**(snr/10) * 12/23)) = 9.92e-2 and 5.27e-2;
+        an ideal hard-decision Golay decoder on a binary channel with
+        those error rates (exact sum over all 2^23 error patterns) gives
+        information-bit BERs of 5.97e-2 and 9.52e-3.  The coded/uncoded
+        ratios are 1.59 at 2 dB and 0.76 at 4 dB.  Decoding failures flip
+        about 3.7 information bits at once, so 2000 errors are about 540
+        independent events; over ten other master seeds the chain's ratio
+        is 1.61 +- 0.03 at 2 dB and 0.76 +- 0.04 at 4 dB, so both points
+        sit at least six such spreads from 1.  A decoder that corrects
+        nothing leaves the coded BER at the raw 5.27e-2 at 4 dB, above
+        uncoded.
+        """
+        ratios = {}
+        failures = []
+        for snr, coded_better in ((2.0, False), (4.0, True)):
+            uncoded = measure(PointSpec(snr, "qpsk", "wh", "haar", False, 7), 2000)
+            coded = measure(PointSpec(snr, "qpsk", "wh", "haar", True, 7), 2000)
+            ratios[snr] = coded.ber / uncoded.ber
+            if (coded.ber < uncoded.ber) != coded_better:
+                failures.append(f"coded {'not ' if coded_better else ''}better at {snr:g} dB")
+        report("qpsk-crossover", not failures,
+               f"coded/uncoded ratios {({k: round(v, 2) for k, v in ratios.items()})} {failures}")
 
 
 class TestWaveletSuite:

@@ -197,6 +197,17 @@ class TestRunLinkOnce:
         d2, e2 = run_link_once(bits, cfg, np.random.default_rng(14))
         assert e1 == e2 and np.array_equal(d1, d2)
 
+    @pytest.mark.parametrize("users", [1, 3, 7])
+    def test_noise_is_one_draw_per_despread_symbol(self, users):
+        # 100 BPSK symbols per user fill 4 blocks of G = 32 slots, so the
+        # chain draws (2, 4, users * 32) normals, not (2, 4, 256).
+        cfg = config(users=users, wavelet="bior22", snr_db=3.0)
+        bits = np.random.default_rng(17).integers(0, 2, (users, 100), dtype=np.uint8)
+        rng, twin = np.random.default_rng(18), np.random.default_rng(18)
+        run_link_once(bits, cfg, rng)
+        twin.standard_normal((2, 4, users * 32))
+        assert rng.random() == twin.random()
+
     def test_coded_beats_uncoded_at_high_snr(self):
         rng_bits = np.random.default_rng(15)
         bits = rng_bits.integers(0, 2, (7, 4320), dtype=np.uint8)

@@ -4,6 +4,15 @@ Each draw picks a spreading family and factor, a user count, a modem, a
 wavelet and cascade depth, and a payload length (including 1 and lengths
 that are not multiples of 12).  Examples are derandomized so the suite
 stays deterministic.
+
+The law tests compare the sample covariance of despread noise with its
+claimed value entry by entry.  For n zero-mean Gaussian samples the
+entry (i, j) of the sample covariance has standard error
+sqrt((S_ii S_jj + S_ij^2) / n); the tests bound the largest of the
+w (w + 1) / 2 standardized deviations (4656 entries at w = 96) by 6,
+which a correct law exceeds with probability below 4656 * 2 * Phi(-6)
+= 1e-5, while white noise in place of the biorthogonal law misses by
+more than 50 at these sample sizes.
 """
 
 import numpy as np
@@ -11,14 +20,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwtcdma import link
-from dwtcdma.link import LinkConfig, despread, link_operators, run_link_once, spread_multiplex
-from dwtcdma.modem import SCHEMES
+from dwtcdma.link import (
+    LinkConfig,
+    apply_awgn,
+    channel_operators,
+    despread,
+    link_operators,
+    noise_sigma_for,
+    run_link_once,
+    spread_multiplex,
+)
+from dwtcdma.modem import SCHEMES, modulate
 from dwtcdma.sim import SimConfig, run_sweep
 from dwtcdma.spreading import FAMILIES, build_matrix
 from dwtcdma.wavelet import FAMILY_TOKENS, WaveletSpec, dwt_forward, dwt_inverse
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 NOISELESS_DB = 300.0
+LAW_MAX_DEVIATION = 6.0
 SPREADING_FACTORS = {"wh": (2, 4, 8, 16, 32), "gold": (8, 32), "gcs": (2, 4, 8, 16, 32)}
 
 
@@ -68,6 +87,83 @@ def test_operators_match_cascade(config, blocks):
 
 
 @PROPERTY_SETTINGS
+@given(config=link_configs())
+def test_channel_operators_are_leading_blocks(config):
+    spreading, wavelet = config.spreading, config.wavelet
+    width = config.num_users * config.symbols_per_block
+    synthesis, despreading = link_operators(spreading, wavelet)
+    gram, factor = channel_operators(spreading, wavelet)
+    assert np.max(np.abs(synthesis @ despreading - np.eye(len(synthesis)))) <= 1e-12
+
+    t, r, c = synthesis[:width], despreading[:, :width], factor[:width, :width]
+    assert np.max(np.abs(gram[:width, :width] - t @ t.T)) <= 1e-12
+    assert np.max(np.abs(c.T @ c - r.T @ r)) <= 1e-12
+
+
+def _max_law_deviation(noise, covariance):
+    """Largest standardized deviation of the sample covariance of the rows
+    of the real and imaginary parts of noise from covariance."""
+    samples = np.concatenate([noise.real, noise.imag])
+    n = len(samples)
+    diagonal = np.diag(covariance)
+    standard_error = np.sqrt((np.outer(diagonal, diagonal) + covariance**2) / n)
+    return float(np.max(np.abs(samples.T @ samples / n - covariance) / standard_error))
+
+
+def test_cascade_noise_law_matches_factor():
+    """Noise through the reference cascade (spread, inverse DWT, AWGN,
+    forward DWT, despread) at bior22 with 3 users has covariance
+    sigma^2 C_w^T C_w."""
+    spreading, wavelet, users, sigma = build_matrix("wh", 8), WaveletSpec("bior22"), 3, 0.6
+    group = wavelet.block_size // 8
+    rng = np.random.default_rng(2024)
+    symbols = _complex(rng, (4000, users, group))
+    tx = dwt_inverse(np.stack([spread_multiplex(s, spreading) for s in symbols]), wavelet)
+    coeffs = dwt_forward(apply_awgn(tx, sigma, rng), wavelet)
+    rx = np.stack([despread(coeffs, spreading, k) for k in range(users)], axis=1)
+
+    c = channel_operators(spreading, wavelet)[1][: users * group, : users * group]
+    covariance = sigma**2 * c.T @ c
+    noise = (rx - symbols).reshape(len(symbols), -1)
+    assert _max_law_deviation(noise, covariance) <= LAW_MAX_DEVIATION
+    assert _max_law_deviation(noise, sigma**2 * np.eye(len(c))) > 4 * LAW_MAX_DEVIATION
+
+
+def test_link_noise_law_matches_reference(monkeypatch):
+    """run_link_once at bior22 with 3 users: the despread symbols it
+    detects are the sent ones plus noise of covariance sigma^2 R_w^T R_w,
+    with sigma set by the energy the reference T sends."""
+    cfg = LinkConfig(build_matrix("wh", 8), WaveletSpec("bior22"), "qpsk", 3, False, 2.0)
+    group = cfg.symbols_per_block
+    width = cfg.num_users * group
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2, (cfg.num_users, 2 * group * 4000), dtype=np.uint8)
+    received = []
+    demodulate = link.demodulate
+
+    def capture(rx, scheme):
+        received.append(rx)
+        return demodulate(rx, scheme)
+
+    monkeypatch.setattr(link, "demodulate", capture)
+    run_link_once(bits, cfg, rng)
+
+    sent = modulate(bits, cfg.scheme)
+    blocks = sent.shape[1] // group
+
+    def per_block(a):  # (U, blocks*G) -> (blocks, U*G), index k*G + g per block
+        return a.reshape(cfg.num_users, blocks, group).transpose(1, 0, 2).reshape(blocks, width)
+
+    x = per_block(sent)
+    synthesis, despreading = link_operators(cfg.spreading, cfg.wavelet)
+    tx = x.real @ synthesis[:width], x.imag @ synthesis[:width]
+    energy = sum(float(np.sum(part**2)) for part in tx) / sent.size
+    sigma = noise_sigma_for(cfg.snr_db, cfg, energy)
+    r = despreading[:, :width]
+    assert _max_law_deviation(per_block(received[0]) - x, sigma**2 * r.T @ r) <= LAW_MAX_DEVIATION
+
+
+@PROPERTY_SETTINGS
 @given(config=link_configs(), n=payload_lengths, seed=st.integers(0, 2**16))
 def test_noiseless_link_returns_payload(config, n, seed):
     rng = np.random.default_rng(seed)
@@ -109,3 +205,7 @@ def test_sweep_caches_one_operator_pair_per_family():
                        user_counts=(1, 4, 7), min_bit_errors=1, max_info_bits=12)
     run_sweep(config)
     assert len(link._OPERATORS) <= 3
+    for gram, factor in link._OPERATORS.values():
+        assert gram.shape == factor.shape == (256, 256)
+        assert not (gram.flags.writeable or factor.flags.writeable)
+        assert np.array_equal(factor, np.triu(factor))

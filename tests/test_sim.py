@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dwtcdma import __version__
 from dwtcdma.sim import (
     BerRecord,
     PointSpec,
@@ -26,6 +27,14 @@ class TestRunPoint:
         assert record.ber == 0.0
         assert record.bit_errors == 0
         assert record.bits_sent >= 30_000
+
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_last_chunk_trimmed_to_bit_budget(self, coded):
+        # 7 users: ceil(3000 / 7) = 429 bits each, not a whole chunk
+        # (19,999 bits uncoded, 19,992 coded).
+        record = run_point(PointSpec(200.0, "bpsk", "wh", "haar", coded, 7),
+                           min_bit_errors=10, max_info_bits=3000, seed=1)
+        assert record.bits_sent == 3003
 
     def test_same_seed_reproduces_record(self):
         point = PointSpec(2.0, "qpsk", "gcs", "db2", True, 3)
@@ -160,7 +169,7 @@ class TestOutputs:
         write_outputs([], tmp_path, config, preset=None)
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "master_seed: 1234" in manifest
-        assert "artifact_version:" in manifest
+        assert "dwtcdma_version: " + __version__ in manifest
 
     def test_plot_file_shape_fig2(self, tmp_path):
         config = preset_config("fig2", master_seed=0, snr_db=tuple(float(s) for s in range(21)),
