@@ -4,22 +4,29 @@ Golay codec verification, and Monte-Carlo BER sweeps."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__, fec, sim, spreading
 
 
 def _parse_float_axis(text: str) -> tuple:
-    """Accept 'a:b:step' ranges or comma-separated values."""
+    """Accept ascending 'a:b[:step]' ranges, which never pass b, or
+    comma-separated values."""
     if ":" in text:
         parts = [float(p) for p in text.split(":")]
         if len(parts) == 2:
             parts.append(1.0)
         start, stop, step = parts
+        if not all(math.isfinite(p) for p in parts):
+            raise argparse.ArgumentTypeError("range bounds and step must be finite")
         if step <= 0:
             raise argparse.ArgumentTypeError("step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        return tuple(start + i * step for i in range(max(count, 1)))
+        if stop < start:
+            raise argparse.ArgumentTypeError(f"range {text} descends; write it as low:high")
+        # The slack keeps a stop that lies on the grid, such as 0.3 in 0:0.3:0.1.
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        return tuple(start + i * step for i in range(count))
     return tuple(float(p) for p in text.split(","))
 
 
@@ -27,6 +34,13 @@ def _parse_int_axis(text: str) -> tuple:
     if ":" in text:
         return tuple(int(v) for v in _parse_float_axis(text))
     return tuple(int(p) for p in text.split(","))
+
+
+def _parse_jobs(text: str) -> int:
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("--jobs must be at least 1")
+    return jobs
 
 
 def _parse_coded(text: str) -> tuple:
@@ -152,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default="results", help="output directory")
     sweep.add_argument("--total-power", action="store_true",
                        help="hold total transmit power constant as users grow")
-    sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
+    sweep.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes")
     sweep.set_defaults(func=_cmd_sweep)
 
     return parser

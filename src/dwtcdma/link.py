@@ -4,12 +4,12 @@ by the inverse wavelet transform, passed through AWGN, analyzed back,
 despread, demodulated and optionally FEC-decoded.
 
 Signal-to-noise convention: snr_db is Eb/N0 per information bit.  Noise
-is calibrated against the empirically measured transmitted energy per
-data symbol, so a coded link pays its 12/23 rate penalty in signal
+is calibrated against the expected transmitted energy per data symbol
+(see below), so a coded link pays its 12/23 rate penalty in signal
 energy and the definition stays correct for the non-orthonormal
-biorthogonal transform.  In the optional total-power mode the transmit
-signal is scaled by 1/sqrt(U) after calibration, holding total transmit
-power constant so each of the U users keeps only a 1/U share of energy.
+biorthogonal transform.  In the optional total-power mode the symbols
+are scaled by 1/sqrt(U) after calibration, holding total transmit power
+constant so each of the U users keeps only a 1/U share of energy.
 
 From modulated symbols to despread symbols the chain is real-linear:
 two real matrices per (code rows, wavelet), T = spread then inverse DWT
@@ -26,13 +26,13 @@ reconstruction and orthogonal codes give T R = I, so the signal term is
 x itself.  The noise term n R_w is Gaussian with covariance
 sigma^2 R_w^T R_w; with C the upper Cholesky factor of R^T R, that is
 the leading w x w block C_w of C, so sigma z C_w with z iid N(0, 1) has
-the same law.  The link therefore runs in the despread-symbol domain:
-it measures the transmitted energy as the sum of x G_w x^T with the Gram
-matrix G = T T^T, and forms y = x + sigma z C_w (x scaled by 1/sqrt(U)
-in total-power mode).  The same law holds for every wavelet; for the
-orthonormal ones G and C are the identity.  (G, C) is built once per
-(code rows, wavelet) and cached by value; a link run slices its leading
-w x w blocks.
+the same law.  The link therefore runs in the despread-symbol domain and
+forms y = x + sigma z C_w.  The symbols of every scheme are zero-mean,
+unit-energy and mutually uncorrelated, so a symbol sends on average
+||T_w||_F^2 / w, the mean of the first w row energies |T[k]|^2; that
+constant sets sigma.  For the orthonormal wavelets the energies are 1
+and C is the identity.  (energies, C) is built once per (code rows,
+wavelet) and cached by value.
 
 Randomness: the noise of a link run is one standard-normal draw of shape
 (2, blocks, U*G), the real parts first and then the imaginary parts.
@@ -64,6 +64,8 @@ class LinkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", get_scheme(self.scheme))
+        if not np.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         sf = self.spreading.spreading_factor
         if not 1 <= self.num_users <= sf:
             raise ValueError(f"num_users must be in 1..{sf}, got {self.num_users}")
@@ -129,28 +131,29 @@ def link_operators(spreading: SpreadingMatrix,
     return synthesis, despreading
 
 
-# (G, C) per (code rows, wavelet).  SpreadingMatrix compares by identity
-# and callers rebuild equal ones, so the key is the chip values.
+# (energies, C) per (code rows, wavelet).  SpreadingMatrix compares by
+# identity and callers rebuild equal ones, so the key is the chip values.
 _OPERATORS: dict[tuple[bytes, WaveletSpec], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def channel_operators(spreading: SpreadingMatrix,
                       wavelet: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix G = T T^T and the upper Cholesky factor C of R^T R.
+    """Per-symbol transmit energies and the upper Cholesky factor C of R^T R.
 
-    With (T, R) from link_operators, a row of symbols x sends energy
-    x @ G @ x, and z @ C with z iid N(0, 1) has the law of white unit
-    noise seen through R.  Their leading w x w blocks serve the first w
-    symbols.  Cached by value; the arrays are read-only.
+    With (T, R) from link_operators, energies[k] = |T[k]|^2 = (T T^T)[k, k]
+    is the energy a unit symbol in position k sends, and z @ C with z iid
+    N(0, 1) has the law of white unit noise seen through R.  The first w
+    energies and the leading w x w block of C serve the first w symbols.
+    Cached by value; the arrays are read-only.
     """
     key = (spreading.rows.tobytes(), wavelet)
     if key not in _OPERATORS:
         synthesis, despreading = link_operators(spreading, wavelet)
-        gram = synthesis @ synthesis.T
+        energies = np.einsum("ij,ij->i", synthesis, synthesis)
         factor = np.linalg.cholesky(despreading.T @ despreading).T
-        for op in (gram, factor):
+        for op in (energies, factor):
             op.setflags(write=False)
-        _OPERATORS[key] = (gram, factor)
+        _OPERATORS[key] = (energies, factor)
     return _OPERATORS[key]
 
 
@@ -196,8 +199,9 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
 
     info_bits has shape (num_users, n); every user carries independent
     data.  Returns (decoded bits of the same shape, total bit errors).
-    FEC padding to 12, symbol padding to bits_per_symbol and zero-symbol
-    padding of the final block are all tracked internally and stripped.
+    FEC padding to 12 and symbol padding to bits_per_symbol are tracked
+    internally and stripped; the noise drawn for the empty slots of the
+    final block is dropped.
     """
     bits = np.asarray(info_bits, dtype=np.uint8)
     if bits.ndim != 2 or bits.shape[0] != config.num_users or bits.shape[1] == 0:
@@ -214,24 +218,16 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     group = config.symbols_per_block
     n_blocks = max(1, -(-n_symbols // group))
     width = n_users * group
-    # (re/im, U, blocks*G) -> (re/im, blocks, U*G): index k*G + g per block.
-    parts = np.zeros((2, n_users, n_blocks * group))
-    parts[0, :, :n_symbols] = symbols.real
-    parts[1, :, :n_symbols] = symbols.imag
-    parts = parts.reshape(2, n_users, n_blocks, group).transpose(0, 2, 1, 3)
-    parts = parts.reshape(2, n_blocks, width)
-
-    gram, factor = channel_operators(config.spreading, config.wavelet)
-    energy = float(np.vdot(parts @ gram[:width, :width], parts))
-    mean_symbol_energy = energy / max(1, n_users * n_symbols)
-    sigma = noise_sigma_for(config.snr_db, config, mean_symbol_energy)
+    energies, factor = channel_operators(config.spreading, config.wavelet)
+    sigma = noise_sigma_for(config.snr_db, config, float(np.mean(energies[:width])))
+    noise = _noise((n_blocks, width), sigma, rng) @ factor[:width, :width]
+    # (re/im, blocks, U*G) -> (re/im, U, blocks*G): index k*G + g per block.
+    noise = noise.reshape(2, n_blocks, n_users, group).transpose(0, 2, 1, 3)
+    noise = noise.reshape(2, n_users, -1)[..., :n_symbols]
     if config.total_power:
-        parts = parts / np.sqrt(n_users)
-    rx_parts = parts + _noise(parts.shape[1:], sigma, rng) @ factor[:width, :width]
-
-    rx_parts = rx_parts.reshape(2, n_blocks, n_users, group)
-    rx_parts = rx_parts.transpose(0, 2, 1, 3).reshape(2, n_users, -1)[..., :n_symbols]
-    hard = demodulate(rx_parts[0] + 1j * rx_parts[1], scheme)[:, :n_coded]
+        symbols = symbols / np.sqrt(n_users)
+    received = symbols + (noise[0] + 1j * noise[1])
+    hard = demodulate(received, scheme)[:, :n_coded]
     decoded = fec.decode_stream(hard, n_info) if config.coded else hard
     errors = int(np.count_nonzero(decoded != bits))
     return decoded, errors

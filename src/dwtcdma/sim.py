@@ -92,6 +92,10 @@ class SimConfig:
             raise ValueError("min_bit_errors must be >= 1")
         if self.max_info_bits < 12:
             raise ValueError("max_info_bits must cover at least one block")
+        # Build every point's link up front, so that an invalid grid (a
+        # non-finite SNR, more users than code rows) fails before any point runs.
+        for point in self.points():
+            link_config_for(point)
 
     def points(self) -> list[PointSpec]:
         return [

@@ -1,5 +1,8 @@
 
-from dwtcdma.cli import main
+import pytest
+
+from dwtcdma import sim
+from dwtcdma.cli import _parse_float_axis, main
 
 
 class TestCodesCommands:
@@ -92,3 +95,46 @@ class TestSweepCommand:
         assert "levels: 3" in (tmp_path / "manifest.txt").read_text()
         assert main(["sweep", "--snr", "0", "--levels", "11", "--min-errors", "1",
                      "--max-bits", "400", "--out", str(tmp_path)]) == 1
+
+
+class TestAxisParsing:
+    def test_range_never_passes_stop(self):
+        assert _parse_float_axis("0:1:0.6") == (0.0, 0.6)
+        assert _parse_float_axis("0:2:0.7") == (0.0, 0.7, 1.4)
+
+    def test_stop_on_the_grid_is_kept(self):
+        assert _parse_float_axis("0:0.3:0.1") == tuple(i * 0.1 for i in range(4))
+        assert _parse_float_axis("-10:2:4") == (-10.0, -6.0, -2.0, 2.0)
+        assert _parse_float_axis("0:20") == tuple(float(i) for i in range(21))
+        assert _parse_float_axis("3:3") == (3.0,)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--snr", "5:0:1", "descends"),
+        ("--users", "7:1", "descends"),
+        ("--snr", "0:2:0", "step must be positive"),
+        ("--snr", "0:inf", "finite"),
+        ("--jobs", "0", "--jobs must be at least 1"),
+        ("--jobs", "-2", "--jobs must be at least 1"),
+    ])
+    def test_bad_values_rejected_by_parser(self, capsys, flag, value, message):
+        argv = ["sweep", "--snr", "0", flag, value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--snr", "0,5,nan", "snr_db must be finite"),
+        ("--users", "1,9", "num_users"),
+    ])
+    def test_invalid_grid_fails_before_first_point(self, tmp_path, capsys, monkeypatch,
+                                                   flag, value, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(sim, "run_point", unreachable)
+        argv = ["sweep", "--snr", "0", "--max-bits", "400", "--out", str(tmp_path / "out"),
+                flag, value]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -177,18 +177,34 @@ class TestRunLinkOnce:
         decoded, errors = run_link_once(bits, cfg, rng)
         assert errors == 0 and decoded.shape == (1, 1)
 
-    def test_user_output_independent_of_interferers(self):
-        cfg = config(users=3)
+    def test_user_output_independent_of_interferers(self, monkeypatch):
+        received = []
+        demodulate = link.demodulate
+
+        def capture(rx, scheme):
+            received.append(rx[0].copy())
+            return demodulate(rx, scheme)
+
+        monkeypatch.setattr(link, "demodulate", capture)
         rng = np.random.default_rng(11)
         own = rng.integers(0, 2, (1, 200), dtype=np.uint8)
-        runs = []
-        for seed in (100, 101):
-            other = np.random.default_rng(seed).integers(0, 2, (2, 200), dtype=np.uint8)
-            bits = np.vstack([own, other])
-            decoded, _ = run_link_once(bits, cfg, np.random.default_rng(12))
-            runs.append(decoded[0].copy())
-        assert np.array_equal(runs[0], runs[1])
-        assert np.array_equal(runs[0], own[0])
+
+        def user_zero(cfg):
+            runs = []
+            for seed in (100, 101):
+                other = np.random.default_rng(seed).integers(0, 2, (2, 200), dtype=np.uint8)
+                decoded, _ = run_link_once(np.vstack([own, other]), cfg, np.random.default_rng(12))
+                runs.append((decoded[0].copy(), received.pop()))
+            return runs
+
+        (first, _), (second, _) = user_zero(config(users=3))
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, own[0])
+        # With noise over bior22, whose symbol positions send unequal
+        # energies, user 0 still receives bitwise the same symbols: the
+        # noise level is a constant of the link, not of the payload.
+        (_, first), (_, second) = user_zero(config(users=3, wavelet="bior22", snr_db=2.0))
+        assert np.array_equal(first, second)
 
     def test_noise_draw_determinism(self):
         cfg = config(snr_db=3.0)

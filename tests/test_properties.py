@@ -92,12 +92,14 @@ def test_channel_operators_are_leading_blocks(config):
     spreading, wavelet = config.spreading, config.wavelet
     width = config.num_users * config.symbols_per_block
     synthesis, despreading = link_operators(spreading, wavelet)
-    gram, factor = channel_operators(spreading, wavelet)
+    energies, factor = channel_operators(spreading, wavelet)
     assert np.max(np.abs(synthesis @ despreading - np.eye(len(synthesis)))) <= 1e-12
 
     t, r, c = synthesis[:width], despreading[:, :width], factor[:width, :width]
-    assert np.max(np.abs(gram[:width, :width] - t @ t.T)) <= 1e-12
+    assert np.max(np.abs(energies[:width] - np.diag(t @ t.T))) <= 1e-12
     assert np.max(np.abs(c.T @ c - r.T @ r)) <= 1e-12
+    if wavelet.family in ("haar", "db2"):  # orthonormal: every symbol sends unit energy
+        assert np.max(np.abs(energies - 1.0)) <= 1e-12
 
 
 def _max_law_deviation(noise, covariance):
@@ -132,7 +134,8 @@ def test_cascade_noise_law_matches_factor():
 def test_link_noise_law_matches_reference(monkeypatch):
     """run_link_once at bior22 with 3 users: the despread symbols it
     detects are the sent ones plus noise of covariance sigma^2 R_w^T R_w,
-    with sigma set by the energy the reference T sends."""
+    with sigma set by the expected energy per symbol of the reference T,
+    ||T_w||_F^2 / w."""
     cfg = LinkConfig(build_matrix("wh", 8), WaveletSpec("bior22"), "qpsk", 3, False, 2.0)
     group = cfg.symbols_per_block
     width = cfg.num_users * group
@@ -156,9 +159,7 @@ def test_link_noise_law_matches_reference(monkeypatch):
 
     x = per_block(sent)
     synthesis, despreading = link_operators(cfg.spreading, cfg.wavelet)
-    tx = x.real @ synthesis[:width], x.imag @ synthesis[:width]
-    energy = sum(float(np.sum(part**2)) for part in tx) / sent.size
-    sigma = noise_sigma_for(cfg.snr_db, cfg, energy)
+    sigma = noise_sigma_for(cfg.snr_db, cfg, float(np.sum(synthesis[:width] ** 2)) / width)
     r = despreading[:, :width]
     assert _max_law_deviation(per_block(received[0]) - x, sigma**2 * r.T @ r) <= LAW_MAX_DEVIATION
 
@@ -205,7 +206,7 @@ def test_sweep_caches_one_operator_pair_per_family():
                        user_counts=(1, 4, 7), min_bit_errors=1, max_info_bits=12)
     run_sweep(config)
     assert len(link._OPERATORS) <= 3
-    for gram, factor in link._OPERATORS.values():
-        assert gram.shape == factor.shape == (256, 256)
-        assert not (gram.flags.writeable or factor.flags.writeable)
+    for energies, factor in link._OPERATORS.values():
+        assert energies.shape == (256,) and factor.shape == (256, 256)
+        assert not (energies.flags.writeable or factor.flags.writeable)
         assert np.array_equal(factor, np.triu(factor))

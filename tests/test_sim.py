@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from dwtcdma import __version__
+from dwtcdma import __version__, sim
 from dwtcdma.sim import (
     BerRecord,
     PointSpec,
@@ -93,6 +93,20 @@ class TestRunSweep:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             SimConfig(snr_db=())
+
+    @pytest.mark.parametrize("axes, message", [
+        ({"snr_db": (0.0, 5.0, float("nan"))}, "snr_db must be finite"),
+        ({"snr_db": (0.0, float("inf"))}, "snr_db must be finite"),
+        ({"user_counts": (1, 9)}, "num_users"),
+        ({"families": ("gold",), "spreading_factor": 16}, "preferred pair"),
+    ])
+    def test_invalid_grid_fails_before_first_point(self, axes, message, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(sim, "run_point", unreachable)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(SimConfig(**axes, **FAST))
 
     def test_user_sweep_grid(self):
         config = preset_config("fig6", **FAST)
