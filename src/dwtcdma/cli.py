@@ -32,6 +32,8 @@ def _parse_float_axis(text: str) -> tuple:
 
 def _parse_int_axis(text: str) -> tuple:
     if ":" in text:
+        if not all(float(p).is_integer() for p in text.split(":")):
+            raise argparse.ArgumentTypeError(f"range {text} needs integer bounds and step")
         return tuple(int(v) for v in _parse_float_axis(text))
     return tuple(int(p) for p in text.split(","))
 

@@ -113,6 +113,7 @@ class TestAxisParsing:
         ("--users", "7:1", "descends"),
         ("--snr", "0:2:0", "step must be positive"),
         ("--snr", "0:inf", "finite"),
+        ("--users", "1:3:0.5", "integer bounds and step"),
         ("--jobs", "0", "--jobs must be at least 1"),
         ("--jobs", "-2", "--jobs must be at least 1"),
     ])
@@ -126,6 +127,7 @@ class TestAxisParsing:
     @pytest.mark.parametrize("flag, value, message", [
         ("--snr", "0,5,nan", "snr_db must be finite"),
         ("--users", "1,9", "num_users"),
+        ("--snr", "0,0", "duplicate"),
     ])
     def test_invalid_grid_fails_before_first_point(self, tmp_path, capsys, monkeypatch,
                                                    flag, value, message):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,8 @@ class TestRunSweep:
         ({"snr_db": (0.0, float("inf"))}, "snr_db must be finite"),
         ({"user_counts": (1, 9)}, "num_users"),
         ({"families": ("gold",), "spreading_factor": 16}, "preferred pair"),
+        ({"snr_db": (0.0, 0.0)}, "snr_db has duplicate values"),
+        ({"user_counts": (7, 7)}, "user_counts has duplicate values"),
     ])
     def test_invalid_grid_fails_before_first_point(self, axes, message, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -155,9 +161,46 @@ class TestTheory:
             assert theoretical_ber("dqpsk", snr) > theoretical_ber("qpsk", snr)
         assert theoretical_ber("dqpsk", 30.0) < 1e-20
 
+    @pytest.mark.parametrize("snr, expected", [
+        # Q1(a,b) - I0(ab)/2 * exp(-(a^2+b^2)/2) from Marcum-Q and Bessel
+        # routines, where that difference is still well conditioned.
+        (0.0, 0.16390753039958472),
+        (5.0, 0.030494324428562557),
+        (10.0, 0.000343184596033453),
+        (15.0, 6.347333488587723e-10),
+        (20.0, 1.4580232065841664e-27),
+        (25.0, 8.06870524752122e-83),
+    ])
+    def test_dqpsk_reference_values(self, snr, expected):
+        assert theoretical_ber("dqpsk", snr) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
+    def test_nonnegative_and_nonincreasing(self, scheme):
+        values = [theoretical_ber(scheme, 0.5 * i) for i in range(61)]
+        assert min(values) >= 0.0
+        assert all(later <= earlier for earlier, later in zip(values, values[1:]))
+        if scheme == "dqpsk":
+            assert values[-1] > 0.0
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             theoretical_ber("16qam", 4.0)
+
+    def test_runs_without_scipy(self):
+        # numpy is the only runtime dependency: block scipy in a fresh
+        # interpreter and use the package, CLI and every reference curve.
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import dwtcdma, dwtcdma.cli\n"
+            "from dwtcdma.sim import theoretical_ber\n"
+            "for s in ('bpsk', 'qpsk', 'dbpsk', 'dqpsk'): assert theoretical_ber(s, 4.0) > 0\n"
+        )
+        src = str(Path(sim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestOutputs:
