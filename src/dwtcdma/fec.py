@@ -1,5 +1,11 @@
 """Binary (23,12) Golay block code: systematic cyclic encoding, perfect
-3-error correction via a precomputed syndrome table, and stream framing.
+3-error correction, and stream framing.
+
+Two tables, built once from the remainder modulo g1(X), make the whole
+codec: a 4096-entry encode table (message -> codeword) and a 2048-entry
+syndrome table (syndrome -> the error pattern of weight <= 3 causing it).
+The code is systematic, so a received word's syndrome is its check bits
+XOR the encode table's check bits for its information bits.
 
 Bit/word conventions: a 12-bit message m maps to the polynomial
 m(X) = sum m[j] X^j, and a 23-bit codeword c to c(X) = sum c[j] X^j.
@@ -26,12 +32,13 @@ G1 = 0b110001110101  # 1 + X^2 + X^4 + X^5 + X^6 + X^10 + X^11
 G2 = 0b101011100011  # 1 + X + X^5 + X^6 + X^7 + X^9 + X^11
 
 
-def _poly_mod_g1(value: int, bits: int) -> int:
-    """Remainder of value(X) modulo g1(X) over GF(2)."""
-    for j in range(bits - 1, N_CHECK - 1, -1):
-        if value >> j & 1:
-            value ^= G1 << (j - N_CHECK)
-    return value
+def _poly_mod_g1(values: np.ndarray) -> np.ndarray:
+    """Remainder of each value(X) < X^23 modulo g1(X) over GF(2), elementwise
+    on a uint32 array (schoolbook long division, highest degree first)."""
+    rem = np.array(values, dtype=np.uint32)
+    for j in range(N_CODE - 1, N_CHECK - 1, -1):
+        rem ^= ((rem >> j) & 1) * np.uint32(G1 << (j - N_CHECK))
+    return rem
 
 
 def _poly_mul(a: int, b: int) -> int:
@@ -46,83 +53,55 @@ def _poly_mul(a: int, b: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class GolayCodecTables:
-    """Precomputed encode and syndrome-decode tables.
+    """The codec's two lookup tables.
 
+    encode_table maps each 12-bit message to its 23-bit codeword;
     syndrome_table maps each of the 2048 syndromes to the unique error
-    pattern of weight <= 3 producing it; encode_table maps each 12-bit
-    message to its 23-bit codeword; bit_syndromes[j] is the syndrome of
-    a single error at position j.
+    pattern of weight <= 3 producing it.
     """
 
-    generator: int
     encode_table: np.ndarray    # (4096,) uint32
     syndrome_table: np.ndarray  # (2048,) uint32
-    bit_syndromes: np.ndarray   # (23,) uint32
 
     def __post_init__(self):
-        for arr in (self.encode_table, self.syndrome_table, self.bit_syndromes):
+        for arr in (self.encode_table, self.syndrome_table):
             arr.setflags(write=False)
 
 
 @lru_cache(maxsize=1)
 def codec_tables() -> GolayCodecTables:
-    tables = _build_tables()
-    _check_tables(tables)
-    return tables
-
-
-def _build_tables() -> GolayCodecTables:
-    bit_syndromes = np.array(
-        [_poly_mod_g1(1 << j, N_CODE) for j in range(N_CODE)], dtype=np.uint32
-    )
-
-    # Parity of each single-bit message, then XOR-combine over set bits.
-    basis = np.array(
-        [_poly_mod_g1(1 << (N_CHECK + j), N_CODE) for j in range(K_MSG)], dtype=np.uint32
-    )
-    msgs = np.arange(1 << K_MSG, dtype=np.uint32)
-    parity = np.zeros(1 << K_MSG, dtype=np.uint32)
-    for j in range(K_MSG):
-        parity[(msgs >> j) & 1 == 1] ^= basis[j]
-    encode_table = (msgs << N_CHECK) | parity
-
-    syndrome_table = np.zeros(1 << N_CHECK, dtype=np.uint32)
-    filled = np.zeros(1 << N_CHECK, dtype=bool)
-    for weight in range(4):
-        for positions in combinations(range(N_CODE), weight):
-            pattern = 0
-            syndrome = 0
-            for j in positions:
-                pattern |= 1 << j
-                syndrome ^= int(bit_syndromes[j])
-            if filled[syndrome]:
-                raise AssertionError("syndrome collision while building table")
-            syndrome_table[syndrome] = pattern
-            filled[syndrome] = True
-    if not filled.all():
-        raise AssertionError("syndrome table incomplete")
-
-    return GolayCodecTables(G1, encode_table, syndrome_table, bit_syndromes)
-
-
-def _check_tables(tables: GolayCodecTables) -> None:
     # (1+X) g1(X) g2(X) = X^23 + 1 over GF(2), checked once at build time.
     if _poly_mul(_poly_mul(0b11, G1), G2) != (1 << N_CODE) | 1:
         raise AssertionError("generator polynomials do not factor X^23 + 1")
-    if _syndromes(tables.encode_table, tables).any():
-        raise AssertionError("encoder produced a word with nonzero syndrome")
 
+    shifted = np.arange(1 << K_MSG, dtype=np.uint32) << N_CHECK
+    encode_table = shifted | _poly_mod_g1(shifted)
 
-def _syndromes(words: np.ndarray, tables: GolayCodecTables) -> np.ndarray:
-    out = np.zeros(words.shape, dtype=np.uint32)
-    for j in range(N_CODE):
-        out ^= ((words >> j) & 1) * tables.bit_syndromes[j]
-    return out
+    # The code is perfect: the words of weight <= 3 are exactly one per
+    # syndrome, and the syndrome of a word is its remainder modulo g1.
+    patterns = np.array([sum(1 << j for j in positions)
+                         for weight in range(4)
+                         for positions in combinations(range(N_CODE), weight)],
+                        dtype=np.uint32)
+    pattern_syndromes = _poly_mod_g1(patterns)
+    if np.bincount(pattern_syndromes, minlength=1 << N_CHECK).max() > 1:
+        raise AssertionError("two error patterns of weight <= 3 share a syndrome")
+    syndrome_table = np.empty(1 << N_CHECK, dtype=np.uint32)
+    syndrome_table[pattern_syndromes] = patterns
+    return GolayCodecTables(encode_table, syndrome_table)
 
 
 def syndromes(words) -> np.ndarray:
-    """Syndrome of each packed 23-bit word (vectorized)."""
-    return _syndromes(np.asarray(words, dtype=np.uint32), codec_tables())
+    """Syndrome of each packed 23-bit word (vectorized): the remainder of
+    w(X) modulo g1(X).
+
+    The code is systematic, so this is the word's 11 check bits XOR the
+    check bits that its 12 information bits encode to.
+    """
+    words = np.asarray(words, dtype=np.uint32)
+    if words.size and words.max() >= 1 << N_CODE:
+        raise ValueError("received word exceeds 23 bits")
+    return (words ^ codec_tables().encode_table[words >> N_CHECK]) & ((1 << N_CHECK) - 1)
 
 
 def encode_words(messages) -> np.ndarray:
@@ -141,8 +120,6 @@ def decode_words(words) -> tuple[np.ndarray, np.ndarray]:
     word decodes; more than 3 channel errors decode to a wrong codeword.
     """
     words = np.asarray(words, dtype=np.uint32)
-    if words.size and words.max() >= 1 << N_CODE:
-        raise ValueError("received word exceeds 23 bits")
     patterns = codec_tables().syndrome_table[syndromes(words)]
     corrected = np.bitwise_count(patterns).astype(np.int64)
     return ((words ^ patterns) >> N_CHECK).astype(np.uint32), corrected

@@ -11,8 +11,10 @@ noise, repeated per chunk.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,6 +34,9 @@ DEFAULT_MAX_BITS = 10_000_000
 
 # Aggregated information bits fed through the chain per run_link_once call.
 _CHUNK_TARGET_BITS = 20_000
+
+# Thread-pool sizes that BLAS and OpenMP read once, when numpy loads.
+_THREAD_CAP_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class PointSpec(NamedTuple):
@@ -190,13 +195,36 @@ def run_sweep(config: SimConfig, jobs: int = 1) -> list[BerRecord]:
         for point in config.points()
     ]
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _worker_pool(jobs) as pool:
             records = list(pool.map(_run_point_task, tasks, chunksize=1))
     else:
         records = [_run_point_task(task) for task in tasks]
     records.sort(key=lambda r: (r.snr_db, r.scheme, r.family, r.wavelet,
                                 r.coded, r.users))
     return records
+
+
+@contextlib.contextmanager
+def _worker_pool(jobs: int):
+    """A pool of `jobs` fresh (spawned) processes with one BLAS/OpenMP
+    thread each, so that the workers do not oversubscribe the cores; the
+    only GEMM of a chunk is too small to gain from threads.
+
+    A thread count the caller set in the environment wins.  The caps are
+    set in os.environ only while the pool lives, because spawned children
+    inherit the environment when they start, and are removed afterwards.
+    """
+    import multiprocessing  # only parallel sweeps pay for its import
+
+    added = [name for name in _THREAD_CAP_VARS if name not in os.environ]
+    os.environ.update(dict.fromkeys(added, "1"))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for name in added:
+            os.environ.pop(name, None)
 
 
 # Equispaced nodes over one period of theta for the DQPSK integral; the

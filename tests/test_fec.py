@@ -32,6 +32,14 @@ def reference_encode(message_bits):
     return [(word >> j) & 1 for j in range(23)]
 
 
+def reference_remainder(words):
+    """Independent oracle: w(X) mod g1(X) by long division, over an array."""
+    rem = words.copy()
+    for j in range(22, 10, -1):
+        rem[(rem >> j) & 1 == 1] ^= np.uint32(G1 << (j - 11))
+    return rem
+
+
 class TestEncode:
     def test_all_zero_message(self):
         assert encode_block([0] * 12).tolist() == [0] * 23
@@ -95,6 +103,22 @@ class TestDecode:
         recoded = encode_words(decoded)
         distance = np.bitwise_count(recoded ^ words)
         assert np.array_equal(distance, corrected)
+
+    def test_syndromes_are_remainders_mod_g1_for_every_word(self):
+        step = 1 << 20
+        for start in range(0, 1 << 23, step):
+            words = np.arange(start, start + step, dtype=np.uint32)
+            assert np.array_equal(syndromes(words), reference_remainder(words))
+
+    def test_syndrome_table_inverts_syndromes(self):
+        assert np.array_equal(syndromes(codec_tables().syndrome_table), np.arange(2048))
+
+    @pytest.mark.parametrize("func, bits", [(syndromes, 23), (decode_words, 23),
+                                            (encode_words, 12)])
+    def test_rejects_values_wider_than_the_code(self, func, bits):
+        func(np.array([0, (1 << bits) - 1], dtype=np.uint32))
+        with pytest.raises(ValueError, match=f"exceeds {bits} bits"):
+            func(np.array([0, 1 << bits], dtype=np.uint32))
 
     def test_syndrome_zero_iff_codeword(self):
         words = encode_words(np.arange(4096, dtype=np.uint32))

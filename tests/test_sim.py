@@ -94,6 +94,34 @@ class TestRunSweep:
                            master_seed=9, **FAST)
         assert run_sweep(config, jobs=1) == run_sweep(config, jobs=3)
 
+    def test_parallel_sweep_leaves_environment_unchanged(self, monkeypatch):
+        for name in sim._THREAD_CAP_VARS:
+            monkeypatch.delenv(name, raising=False)
+        config = SimConfig(snr_db=(0.0,), families=("wh",), coded_flags=(False,),
+                           user_counts=(1, 2), master_seed=9, **FAST)
+        before = dict(os.environ)
+        run_sweep(config, jobs=2)
+        assert dict(os.environ) == before
+
+    def test_workers_get_one_blas_thread_unless_set(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        with sim._worker_pool(2) as pool:
+            seen = list(pool.map(os.getenv, sim._THREAD_CAP_VARS, timeout=120))
+        assert seen == ["3", "1", "1"]
+        assert dict(os.environ) == before
+
+    def test_worker_pool_restores_environment_on_error(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        with pytest.raises(RuntimeError, match="inside"):
+            with sim._worker_pool(2):
+                assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+                raise RuntimeError("inside")
+        assert dict(os.environ) == before
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             SimConfig(snr_db=())
