@@ -154,13 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a Monte-Carlo BER sweep")
     sweep.add_argument("--preset", choices=sorted(sim.PRESETS), help="figure-analogue grid")
     sweep.add_argument("--snr", type=_parse_float_axis, help="dB values: a:b:step or comma list")
-    sweep.add_argument("--scheme", default="bpsk", help="comma list of bpsk,qpsk,dbpsk,dqpsk")
-    sweep.add_argument("--family", default=",".join(spreading.FAMILIES), help="comma list of wh,gold,gcs")
-    sweep.add_argument("--wavelet", default="haar", help="comma list of haar,db2,bior22")
+    sweep.add_argument("--scheme", help="comma list of bpsk,qpsk,dbpsk,dqpsk (default bpsk)")
+    sweep.add_argument("--family", help="comma list of wh,gold,gcs (default all)")
+    sweep.add_argument("--wavelet", help="comma list of haar,db2,bior22 (default haar)")
     sweep.add_argument("--levels", type=int, help="wavelet cascade depth (default 8)")
-    sweep.add_argument("--coded", type=_parse_coded, default=(False, True),
-                       help="both, coded or uncoded")
-    sweep.add_argument("--users", type=_parse_int_axis, default=(7,), help="user counts")
+    sweep.add_argument("--coded", type=_parse_coded, help="both, coded or uncoded (default both)")
+    sweep.add_argument("--users", type=_parse_int_axis, help="user counts (default 7)")
     sweep.add_argument("--sf", type=int, help="spreading factor (default 8)")
     sweep.add_argument("--seed", type=int, default=0, help="master seed")
     sweep.add_argument("--min-errors", type=int, help="stop rule: target bit errors per point")
@@ -174,8 +173,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Grid flags and their explicit-grid defaults; the parser leaves them None
+# so that one given with --preset, which sets its own grid, is refused.
+_GRID_DEFAULTS = {"snr": None, "scheme": "bpsk", "family": ",".join(spreading.FAMILIES),
+                  "wavelet": "haar", "coded": (False, True), "users": (7,)}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "sweep":
+        given = [f"--{dest}" for dest in _GRID_DEFAULTS if getattr(args, dest) is not None]
+        if args.preset and given:
+            parser.error(f"{', '.join(given)} cannot be combined with --preset, "
+                         "which sets its own grid")
+        for dest, default in _GRID_DEFAULTS.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -139,10 +139,12 @@ def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
 
 def _as_bits(bits) -> np.ndarray:
     """Bit streams along the last axis (a 1-D stream or a (rows, n) array)."""
-    arr = np.atleast_1d(np.asarray(bits, dtype=np.uint8))
-    if arr.size and arr.max() > 1:
+    arr = np.atleast_1d(np.asarray(bits))
+    # Checked before the cast to uint8, which would wrap 256 to 0.
+    if arr.size and (arr.max() > 1 if arr.dtype == np.uint8
+                     else not np.all((arr == 0) | (arr == 1))):
         raise ValueError("bits must be 0 or 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def encode_block(message) -> np.ndarray:

@@ -14,9 +14,10 @@ constant so each of the U users keeps only a 1/U share of energy.
 From modulated symbols to despread symbols the chain is real-linear:
 two real matrices per (code rows, wavelet), T = spread then inverse DWT
 and R = forward DWT then despread, built by pushing the identity through
-spread_multiplex/dwt_inverse and dwt_forward/despread (the reference
-path, see link_operators).  With the real and imaginary parts of a
-block's w = U*G symbols stacked as rows x, the despread symbols are
+spread_multiplex and dwt_inverse, and through dwt_forward and the
+transposed spreading (the reference path, see link_operators).  With the
+real and imaginary parts of a block's w = U*G symbols stacked as rows x,
+the despread symbols are
 
     y = x T_w R_w + n R_w,
 
@@ -84,18 +85,19 @@ def spread_multiplex(user_symbols, spreading: SpreadingMatrix) -> np.ndarray:
 
     coefficient[g*SF + j] = (1/sqrt(SF)) * sum_k s[k, g] * code[k, j];
     users are assigned code rows 0..U-1 and share every coefficient
-    group, separated only by their codes.
+    group, separated only by their codes.  A batch (..., U, G) gives
+    blocks (..., G*SF).
     """
     s = np.asarray(user_symbols, dtype=np.complex128)
-    if s.ndim != 2:
-        raise ValueError("user_symbols must be a U x G matrix")
-    n_users, _ = s.shape
+    if s.ndim < 2:
+        raise ValueError("user_symbols must be a U x G matrix or a batch of them")
+    n_users = s.shape[-2]
     sf = spreading.spreading_factor
     if n_users > sf:
         raise ValueError(f"{n_users} users exceed the {sf} available code rows")
     rows = spreading.rows[:n_users].astype(np.float64)
-    blocks = np.einsum("kg,kj->gj", s, rows) / np.sqrt(sf)
-    return blocks.reshape(-1)
+    blocks = np.einsum("...kg,kj->...gj", s, rows) / np.sqrt(sf)
+    return blocks.reshape(s.shape[:-2] + (-1,))
 
 
 def despread(coefficients, spreading: SpreadingMatrix, user: int) -> np.ndarray:
@@ -117,17 +119,18 @@ def link_operators(spreading: SpreadingMatrix,
     Symbol index k*G + g is user k's symbol in slot g of a block.  A row
     of symbols x (length SF*G) gives the time-domain block x @ T, and a
     received block y gives the despread symbols y @ R.  The first U*G
-    rows of T and columns of R serve U users.  Built anew on each call,
+    rows of T and columns of R serve U users.  T is the identity spread
+    and synthesized.  Despreading correlates each group with the scaled
+    code row that spreading loads, so it is the transpose of spreading,
+    and R is the analysed identity times it.  Built anew on each call,
     from the reference cascade; the link itself uses channel_operators.
     """
     sf = spreading.spreading_factor
     group = wavelet.block_size // sf
-    unit_symbols = np.eye(sf * group).reshape(-1, sf, group)
-    coefficients = np.stack([spread_multiplex(s, spreading) for s in unit_symbols])
-    synthesis = np.ascontiguousarray(dwt_inverse(coefficients, wavelet).real)
-    analysis = dwt_forward(np.eye(wavelet.block_size), wavelet)
-    despreading = np.ascontiguousarray(np.concatenate(
-        [despread(analysis, spreading, k) for k in range(sf)], axis=-1).real)
+    spread = spread_multiplex(np.eye(sf * group).reshape(-1, sf, group), spreading)
+    synthesis = np.ascontiguousarray(dwt_inverse(spread, wavelet).real)
+    despreading = np.ascontiguousarray(
+        (dwt_forward(np.eye(wavelet.block_size), wavelet) @ spread.T).real)
     return synthesis, despreading
 
 
@@ -203,7 +206,7 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     internally and stripped; the noise drawn for the empty slots of the
     final block is dropped.
     """
-    bits = np.asarray(info_bits, dtype=np.uint8)
+    bits = np.asarray(info_bits)  # not cast: encode_stream or modulate checks the values
     if bits.ndim != 2 or bits.shape[0] != config.num_users or bits.shape[1] == 0:
         raise ValueError(f"info_bits must have shape ({config.num_users}, n) with n >= 1")
     n_users, n_info = bits.shape

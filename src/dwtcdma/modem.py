@@ -66,10 +66,11 @@ def bits_per_symbol(scheme) -> int:
 
 
 def _as_bits(bits) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(bits, dtype=np.int64))
-    if arr.size and not np.all((arr == 0) | (arr == 1)):
+    arr = np.atleast_1d(np.asarray(bits))
+    # Checked before the cast, which would truncate 0.5 to 0.
+    if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bits must be 0 or 1")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def _pairs(b: np.ndarray) -> np.ndarray:

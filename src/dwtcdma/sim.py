@@ -88,6 +88,8 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        # Canonical scheme names, so that the duplicate check sees "BPSK" as "bpsk".
+        object.__setattr__(self, "schemes", tuple(get_scheme(s).name for s in self.schemes))
         for name in ("snr_db", "schemes", "families", "wavelets", "coded_flags", "user_counts"):
             value = tuple(getattr(self, name))
             if not value:

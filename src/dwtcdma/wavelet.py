@@ -2,18 +2,14 @@
 handling for the Haar, Daubechies-2 and biorthogonal-2.2 families.
 
 Conventions: a filter is a tap array f plus an origin o, occupying
-positions o..o+len(f)-1.  One analysis level computes
-
-    c[k] = sum_t f[t] * x[(2k + o + t) mod n]
-
-and one synthesis level accumulates
-
-    x[(2k + o + t) mod n] += f[t] * c[k]
-
-summed over both branches.  With filters satisfying the shift-by-two
-biorthogonality identities on the integers, periodization keeps the
-cascade exactly invertible at every even length, so no prefix/suffix
-extension is ever needed.  Coefficient layout of a full transform is
+positions o..o+len(f)-1.  One level on a block of even length n is the
+(n/2, n) matrix M_f whose row k holds f[t] at column (2k + o + t) mod n,
+so analysis computes c = x M_f^T for each analysis filter and synthesis
+accumulates x = c_lo M_lo + c_hi M_hi over the synthesis filters.  With
+filters satisfying the shift-by-two biorthogonality identities on the
+integers, periodization keeps the cascade exactly invertible at every
+even length, so no prefix/suffix extension is ever needed.  Coefficient
+layout of a full transform is
 [deepest approximation | deepest detail | ... | first-level detail].
 
 Transforms are real-linear and applied to complex data componentwise.
@@ -121,49 +117,24 @@ def _validate_bank(bank: FilterBank) -> None:
             bank.family == "db2" and abs(np.dot(np.arange(len(hp)), hp)) > 1e-10
         ):
             raise AssertionError(f"{bank.family}: highpass moment conditions violated")
-    # Perfect reconstruction probed at a length smaller than the default
-    # block so wraparound of every tap is exercised.
-    rng = np.random.default_rng(947)
-    probe = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    a, d = _analyze(probe, bank)
-    if np.max(np.abs(_synthesize(a, d, bank) - probe)) > 1e-12:
+    # Perfect reconstruction of one level, A_lo^T S_lo + A_hi^T S_hi = I, at
+    # a length smaller than the default block so that every tap wraps.
+    n = 16
+    identity = sum(_level_matrix(n, analysis).T @ _level_matrix(n, synthesis)
+                   for analysis, synthesis in ((bank.analysis_lowpass, bank.synthesis_lowpass),
+                                               (bank.analysis_highpass, bank.synthesis_highpass)))
+    if np.max(np.abs(identity - np.eye(n))) > 1e-12:
         raise AssertionError(f"{bank.family}: filter bank is not perfectly reconstructing")
 
 
-@lru_cache(maxsize=None)
-def _analysis_indices(n: int, filt: Filter) -> np.ndarray:
-    k2 = 2 * np.arange(n // 2)
-    t = np.arange(len(filt.taps))
-    idx = (k2[:, None] + filt.origin + t[None, :]) % n
-    idx.setflags(write=False)
-    return idx
-
-
-def _analyze(x: np.ndarray, bank: FilterBank) -> tuple[np.ndarray, np.ndarray]:
-    """One decomposition level along the last axis (length must be even)."""
-    n = x.shape[-1]
-    a = np.einsum("...kt,t->...k", x[..., _analysis_indices(n, bank.analysis_lowpass)],
-                  bank.analysis_lowpass.taps)
-    d = np.einsum("...kt,t->...k", x[..., _analysis_indices(n, bank.analysis_highpass)],
-                  bank.analysis_highpass.taps)
-    return a, d
-
-
-def _synthesize(a: np.ndarray, d: np.ndarray, bank: FilterBank) -> np.ndarray:
-    """One reconstruction level along the last axis."""
-    n = 2 * a.shape[-1]
-    x = np.zeros(a.shape[:-1] + (n,), dtype=np.complex128)
-    k2 = 2 * np.arange(n // 2)
-    for coeffs, filt in ((a, bank.synthesis_lowpass), (d, bank.synthesis_highpass)):
-        for t, tap in enumerate(filt.taps):
-            # Index stride 2 never collides modulo the even length n.
-            x[..., (k2 + filt.origin + t) % n] += tap * coeffs
-    return x
-
-
-def _split_sizes(spec: WaveletSpec) -> list[int]:
-    deep = spec.block_size >> spec.levels
-    return [deep] + [deep << j for j in range(spec.levels)]
+def _level_matrix(n: int, filt: Filter) -> np.ndarray:
+    """The (n/2, n) matrix of one periodized level: row k holds tap t at
+    column (2k + origin + t) mod n, taps that wrap onto one column summed."""
+    rows = np.arange(n // 2)[:, None]
+    cols = (2 * rows + filt.origin + np.arange(len(filt.taps))) % n
+    matrix = np.zeros((n // 2, n))
+    np.add.at(matrix, (rows, cols), filt.taps)
+    return matrix
 
 
 def dwt_forward(signal, spec: WaveletSpec) -> np.ndarray:
@@ -175,8 +146,9 @@ def dwt_forward(signal, spec: WaveletSpec) -> np.ndarray:
     details = []
     a = x
     for _ in range(spec.levels):
-        a, d = _analyze(a, bank)
-        details.append(d)
+        n = a.shape[-1]
+        details.append(a @ _level_matrix(n, bank.analysis_highpass).T)
+        a = a @ _level_matrix(n, bank.analysis_lowpass).T
     return np.concatenate([a] + details[::-1], axis=-1)
 
 
@@ -186,9 +158,10 @@ def dwt_inverse(coefficients, spec: WaveletSpec) -> np.ndarray:
     if c.shape[-1] != spec.block_size:
         raise ValueError(f"expected block length {spec.block_size}, got {c.shape[-1]}")
     bank = filter_bank(spec.family)
-    sizes = _split_sizes(spec)
-    bounds = np.cumsum(sizes)
-    a = c[..., : bounds[0]]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        a = _synthesize(a, c[..., lo:hi], bank)
+    a = c[..., : spec.block_size >> spec.levels]
+    while a.shape[-1] < spec.block_size:
+        # The detail of the level that doubles a to length n sits at [n/2, n).
+        n = 2 * a.shape[-1]
+        a = (a @ _level_matrix(n, bank.synthesis_lowpass)
+             + c[..., n // 2 : n] @ _level_matrix(n, bank.synthesis_highpass))
     return a

@@ -96,6 +96,23 @@ class TestSweepCommand:
         assert main(["sweep", "--snr", "0", "--levels", "11", "--min-errors", "1",
                      "--max-bits", "400", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--snr", "5"), ("--scheme", "qpsk"), ("--family", "wh"),
+        ("--wavelet", "db2"), ("--coded", "coded"), ("--users", "2"),
+    ])
+    def test_grid_flag_with_preset_rejected(self, tmp_path, capsys, monkeypatch, flag, value):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(sim, "run_point", unreachable)
+        argv = ["sweep", "--preset", "fig7", "--max-bits", "100", "--out", str(tmp_path / "out"),
+                flag, value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"{flag} cannot be combined with --preset" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestAxisParsing:
     def test_range_never_passes_stop(self):
@@ -128,6 +145,7 @@ class TestAxisParsing:
         ("--snr", "0,5,nan", "snr_db must be finite"),
         ("--users", "1,9", "num_users"),
         ("--snr", "0,0", "duplicate"),
+        ("--scheme", "bpsk,BPSK", "duplicate"),
     ])
     def test_invalid_grid_fails_before_first_point(self, tmp_path, capsys, monkeypatch,
                                                    flag, value, message):

@@ -169,6 +169,14 @@ class TestStreams:
         assert coded.size == 0 and n == 0
         assert decode_stream([], 0).size == 0
 
+    @pytest.mark.parametrize("bits", [[256] + [0] * 11, [0] * 11 + [-1], [0.5] + [0] * 11])
+    def test_rejects_values_outside_bits(self, bits):
+        # Checked before the cast to uint8, under which 256 would encode a 0.
+        for func in (encode_block, lambda b: encode_stream(b)[0],
+                     lambda b: decode_stream(np.concatenate([b, np.zeros(11, int)]), 12)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                func(np.array(bits))
+
     def test_clean_block_decodes_to_info_bits(self):
         msg = np.array([1, 1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0], dtype=np.uint8)
         coded, n = encode_stream(msg)

@@ -244,6 +244,14 @@ class TestRunLinkOnce:
         with pytest.raises(ValueError, match="info_bits"):
             run_link_once(np.zeros((7, 0), dtype=np.uint8), cfg, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("coded", [False, True])
+    @pytest.mark.parametrize("payload", [[[257, 256, 1]], [[0, 2, 1]], [[0.5, 1.0, 0.0]]])
+    def test_rejects_payload_values_outside_bits(self, coded, payload):
+        # 256 and 257 must not wrap to 0 and 1 on the way to uint8.
+        with pytest.raises(ValueError, match="0 or 1"):
+            run_link_once(np.array(payload), config(users=1, coded=coded),
+                          np.random.default_rng(0))
+
     def test_total_power_mode_scales_noise_share(self):
         # With total power fixed, 7 users at 0 dB see much more noise per
         # user than a single user does.

@@ -133,6 +133,7 @@ class TestRunSweep:
         ({"families": ("gold",), "spreading_factor": 16}, "preferred pair"),
         ({"snr_db": (0.0, 0.0)}, "snr_db has duplicate values"),
         ({"user_counts": (7, 7)}, "user_counts has duplicate values"),
+        ({"schemes": ("bpsk", "BPSK")}, "schemes has duplicate values"),
     ])
     def test_invalid_grid_fails_before_first_point(self, axes, message, monkeypatch):
         def unreachable(*args, **kwargs):

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dwtcdma.wavelet import (
     FAMILY_TOKENS,
+    Filter,
     WaveletSpec,
+    _validate_bank,
     dwt_forward,
     dwt_inverse,
     filter_bank,
@@ -41,6 +45,15 @@ class TestFilterBank:
             x = random_block(seed)
             worst = max(worst, float(np.max(np.abs(dwt_inverse(dwt_forward(x, spec), spec) - x))))
         assert worst < 1e-10
+
+    def test_perturbed_synthesis_tap_fails_self_check(self):
+        bank = filter_bank("bior22")
+        _validate_bank(bank)
+        taps = bank.synthesis_highpass.taps.copy()
+        taps[2] += 1e-6
+        broken = replace(bank, synthesis_highpass=Filter(taps, bank.synthesis_highpass.origin))
+        with pytest.raises(AssertionError, match="not perfectly reconstructing"):
+            _validate_bank(broken)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown wavelet"):
