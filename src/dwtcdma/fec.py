@@ -126,15 +126,16 @@ def decode_words(words) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """Pack bit rows (n, width) into integers, list index j at bit j."""
-    width = bits.shape[1]
-    weights = (1 << np.arange(width, dtype=np.uint64))
-    return (bits.astype(np.uint64) @ weights).astype(np.uint32)
+    """Pack bit rows (n, width <= 32) into uint32, list index j at bit j:
+    each row padded to 32 bits is four little-endian bytes of one word."""
+    padded = np.zeros((bits.shape[0], 32), dtype=np.uint8)
+    padded[:, : bits.shape[1]] = bits
+    return np.packbits(padded, bitorder="little").view("<u4")
 
 
 def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
-    shifts = np.arange(width, dtype=np.uint32)
-    return ((words[:, None] >> shifts) & 1).astype(np.uint8)
+    octets = np.ascontiguousarray(words, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(octets, axis=-1, count=width, bitorder="little")
 
 
 def _as_bits(bits) -> np.ndarray:

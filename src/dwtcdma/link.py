@@ -32,11 +32,18 @@ forms y = x + sigma z C_w.  The symbols of every scheme are zero-mean,
 unit-energy and mutually uncorrelated, so a symbol sends on average
 ||T_w||_F^2 / w, the mean of the first w row energies |T[k]|^2; that
 constant sets sigma.  For the orthonormal wavelets the energies are 1
-and C is the identity.  (energies, C) is built once per (code rows,
-wavelet) and cached by value.
+and C is the identity; channel_operators decides that once from the
+operator, and the link then uses sigma z itself, with no product.
+(energies, C) is built once per (code rows, wavelet) and cached by value.
+
+Only the noise the detector reads is drawn.  A coherent BPSK decision
+reads Re(y) alone, and the imaginary noise is independent of the real
+noise, so BPSK runs on the real parts only.  The other schemes read
+both: DBPSK decides on Re(y[n] y*[n-1]), which contains Im*Im.
 
 Randomness: the noise of a link run is one standard-normal draw of shape
-(2, blocks, U*G), the real parts first and then the imaginary parts.
+(dims, blocks, U*G), the real parts first and then, unless the scheme is
+BPSK (dims = 1), the imaginary parts (dims = 2).
 """
 
 from __future__ import annotations
@@ -88,7 +95,8 @@ def spread_multiplex(user_symbols, spreading: SpreadingMatrix) -> np.ndarray:
     group, separated only by their codes.  A batch (..., U, G) gives
     blocks (..., G*SF).
     """
-    s = np.asarray(user_symbols, dtype=np.complex128)
+    s = np.asarray(user_symbols)
+    s = s.astype(np.result_type(s, np.float64), copy=False)
     if s.ndim < 2:
         raise ValueError("user_symbols must be a U x G matrix or a batch of them")
     n_users = s.shape[-2]
@@ -128,34 +136,39 @@ def link_operators(spreading: SpreadingMatrix,
     sf = spreading.spreading_factor
     group = wavelet.block_size // sf
     spread = spread_multiplex(np.eye(sf * group).reshape(-1, sf, group), spreading)
-    synthesis = np.ascontiguousarray(dwt_inverse(spread, wavelet).real)
-    despreading = np.ascontiguousarray(
-        (dwt_forward(np.eye(wavelet.block_size), wavelet) @ spread.T).real)
+    synthesis = dwt_inverse(spread, wavelet)
+    despreading = dwt_forward(np.eye(wavelet.block_size), wavelet) @ spread.T
     return synthesis, despreading
 
 
 # (energies, C) per (code rows, wavelet).  SpreadingMatrix compares by
 # identity and callers rebuild equal ones, so the key is the chip values.
-_OPERATORS: dict[tuple[bytes, WaveletSpec], tuple[np.ndarray, np.ndarray]] = {}
+_OPERATORS: dict[tuple[bytes, WaveletSpec], tuple[np.ndarray, np.ndarray | None]] = {}
 
 
 def channel_operators(spreading: SpreadingMatrix,
-                      wavelet: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
+                      wavelet: WaveletSpec) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-symbol transmit energies and the upper Cholesky factor C of R^T R.
 
     With (T, R) from link_operators, energies[k] = |T[k]|^2 = (T T^T)[k, k]
     is the energy a unit symbol in position k sends, and z @ C with z iid
     N(0, 1) has the law of white unit noise seen through R.  The first w
     energies and the leading w x w block of C serve the first w symbols.
-    Cached by value; the arrays are read-only.
+    C is None when no entry of C - I exceeds 1e-12 (haar and db2 stay
+    within 3e-15; bior22 departs by 0.2 or more), decided here from the
+    operator, so the link skips the product.  Cached by value; the
+    arrays are read-only.
     """
     key = (spreading.rows.tobytes(), wavelet)
     if key not in _OPERATORS:
         synthesis, despreading = link_operators(spreading, wavelet)
         energies = np.einsum("ij,ij->i", synthesis, synthesis)
+        energies.setflags(write=False)
         factor = np.linalg.cholesky(despreading.T @ despreading).T
-        for op in (energies, factor):
-            op.setflags(write=False)
+        if np.max(np.abs(factor - np.eye(len(factor)))) <= 1e-12:
+            factor = None
+        else:
+            factor.setflags(write=False)
         _OPERATORS[key] = (energies, factor)
     return _OPERATORS[key]
 
@@ -177,15 +190,15 @@ def noise_sigma_for(snr_db: float, config: LinkConfig, mean_symbol_energy: float
     return float(np.sqrt(n0 / 2.0))
 
 
-def _noise(shape, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian noise of std sigma as a real (2, *shape) array: [0] holds
-    the real parts and [1] the imaginary parts, drawn in that order in one
-    call.  sigma == 0 draws nothing."""
+def _noise(shape, sigma: float, rng: np.random.Generator, dims: int = 2) -> np.ndarray:
+    """Gaussian noise of std sigma as a real (dims, *shape) array: [0] holds
+    the real parts and [1], if dims is 2, the imaginary parts, drawn in
+    that order in one call.  sigma == 0 draws nothing."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0:
-        return np.zeros((2, *shape))
-    noise = rng.standard_normal((2, *shape))
+        return np.zeros((dims, *shape))
+    noise = rng.standard_normal((dims, *shape))
     noise *= sigma
     return noise
 
@@ -204,7 +217,11 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     data.  Returns (decoded bits of the same shape, total bit errors).
     FEC padding to 12 and symbol padding to bits_per_symbol are tracked
     internally and stripped; the noise drawn for the empty slots of the
-    final block is dropped.
+    final block is dropped.  The chunk draws scheme.noise_dims real
+    noise dimensions per despread symbol (1 for BPSK, whose decision
+    reads only the real part, which it then receives as a real array)
+    and colours them by C_w unless channel_operators found C to be the
+    identity.
     """
     bits = np.asarray(info_bits)  # not cast: encode_stream or modulate checks the values
     if bits.ndim != 2 or bits.shape[0] != config.num_users or bits.shape[1] == 0:
@@ -223,13 +240,19 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     width = n_users * group
     energies, factor = channel_operators(config.spreading, config.wavelet)
     sigma = noise_sigma_for(config.snr_db, config, float(np.mean(energies[:width])))
-    noise = _noise((n_blocks, width), sigma, rng) @ factor[:width, :width]
+    dims = scheme.noise_dims
+    noise = _noise((n_blocks, width), sigma, rng, dims)
+    if factor is not None:
+        noise = noise @ factor[:width, :width]
     # (re/im, blocks, U*G) -> (re/im, U, blocks*G): index k*G + g per block.
-    noise = noise.reshape(2, n_blocks, n_users, group).transpose(0, 2, 1, 3)
-    noise = noise.reshape(2, n_users, -1)[..., :n_symbols]
+    noise = noise.reshape(dims, n_blocks, n_users, group).transpose(0, 2, 1, 3)
+    noise = noise.reshape(dims, n_users, -1)[..., :n_symbols]
     if config.total_power:
         symbols = symbols / np.sqrt(n_users)
-    received = symbols + (noise[0] + 1j * noise[1])
+    if dims == 1:
+        received = symbols.real + noise[0]
+    else:
+        received = symbols + (noise[0] + 1j * noise[1])
     hard = demodulate(received, scheme)[:, :n_coded]
     decoded = fec.decode_stream(hard, n_info) if config.coded else hard
     errors = int(np.count_nonzero(decoded != bits))

@@ -34,6 +34,13 @@ class ModulationScheme:
     bits_per_symbol: int
     differential: bool
 
+    @property
+    def noise_dims(self) -> int:
+        """Real dimensions of a received symbol that its decision reads:
+        1 for BPSK, which reads Re(r) alone; 2 for the others (DBPSK reads
+        Re(r[n] r*[n-1]), which contains Im(r[n]) Im(r[n-1]))."""
+        return 1 if self.bits_per_symbol == 1 and not self.differential else 2
+
 
 SCHEMES = {
     "bpsk": ModulationScheme("bpsk", 1, False),
@@ -105,13 +112,13 @@ def demodulate(symbols, scheme) -> np.ndarray:
 
     Coherent minimum-distance decisions for BPSK/QPSK; differential
     detection of r[n]*conj(r[n-1]) against the implicit reference for
-    DBPSK/DQPSK.
+    DBPSK/DQPSK.  BPSK takes real symbols as they are.
     """
     sch = get_scheme(scheme)
+    if sch.name == "bpsk":
+        return (np.atleast_1d(np.asarray(symbols)).real < 0).astype(np.uint8)
     r = np.atleast_1d(np.asarray(symbols, dtype=np.complex128))
     lead = r.shape[:-1]
-    if sch.name == "bpsk":
-        return (r.real < 0).astype(np.uint8)
     if sch.name == "qpsk":
         return np.stack([r.real < 0, r.imag < 0], axis=-1).astype(np.uint8).reshape(lead + (-1,))
     if r.shape[-1] == 0:

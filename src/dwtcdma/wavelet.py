@@ -12,7 +12,8 @@ even length, so no prefix/suffix extension is ever needed.  Coefficient
 layout of a full transform is
 [deepest approximation | deepest detail | ... | first-level detail].
 
-Transforms are real-linear and applied to complex data componentwise.
+Transforms are real-linear: real input stays real, and complex data is
+transformed componentwise.
 Filter coefficients are validated at construction against their defining
 constraints (normalization, orthonormality, vanishing moments, perfect
 reconstruction), so a bank that builds is self-certified.
@@ -139,7 +140,8 @@ def _level_matrix(n: int, filt: Filter) -> np.ndarray:
 
 def dwt_forward(signal, spec: WaveletSpec) -> np.ndarray:
     """Full analysis cascade of one block (or a batch, last axis = block)."""
-    x = np.asarray(signal, dtype=np.complex128)
+    x = np.asarray(signal)
+    x = x.astype(np.result_type(x, np.float64), copy=False)
     if x.shape[-1] != spec.block_size:
         raise ValueError(f"expected block length {spec.block_size}, got {x.shape[-1]}")
     bank = filter_bank(spec.family)
@@ -154,7 +156,8 @@ def dwt_forward(signal, spec: WaveletSpec) -> np.ndarray:
 
 def dwt_inverse(coefficients, spec: WaveletSpec) -> np.ndarray:
     """Exact inverse of dwt_forward (batched along the last axis)."""
-    c = np.asarray(coefficients, dtype=np.complex128)
+    c = np.asarray(coefficients)
+    c = c.astype(np.result_type(c, np.float64), copy=False)
     if c.shape[-1] != spec.block_size:
         raise ValueError(f"expected block length {spec.block_size}, got {c.shape[-1]}")
     bank = filter_bank(spec.family)

@@ -5,6 +5,7 @@ from dwtcdma import link
 from dwtcdma.link import (
     LinkConfig,
     apply_awgn,
+    channel_operators,
     despread,
     noise_sigma_for,
     run_link_once,
@@ -150,6 +151,24 @@ class TestLinkConfig:
         assert config(sf=32, users=7).symbols_per_block == 8
 
 
+class TestChannelOperators:
+    @pytest.mark.parametrize("sf", [8, 32])
+    @pytest.mark.parametrize("family", ["wh", "gold", "gcs"])
+    @pytest.mark.parametrize("wavelet", ["haar", "db2", "bior22"])
+    def test_identity_factor_decided_from_operator(self, wavelet, family, sf):
+        # The orthonormal wavelets keep R^T R = I, so C is the identity and
+        # is stored as None; bior22's R is not orthogonal, and its factor
+        # is kept as a read-only upper-triangular matrix.
+        energies, factor = channel_operators(build_matrix(family, sf), WaveletSpec(wavelet))
+        if wavelet == "bior22":
+            assert factor.shape == (256, 256) and not factor.flags.writeable
+            assert np.array_equal(factor, np.triu(factor))
+            assert np.max(np.abs(factor - np.eye(256))) > 1e-12
+        else:
+            assert factor is None
+            assert np.max(np.abs(energies - 1.0)) <= 1e-12
+
+
 class TestRunLinkOnce:
     @pytest.mark.parametrize("family", ["wh", "gold", "gcs"])
     @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
@@ -214,14 +233,19 @@ class TestRunLinkOnce:
         assert e1 == e2 and np.array_equal(d1, d2)
 
     @pytest.mark.parametrize("users", [1, 3, 7])
-    def test_noise_is_one_draw_per_despread_symbol(self, users):
-        # 100 BPSK symbols per user fill 4 blocks of G = 32 slots, so the
-        # chain draws (2, 4, users * 32) normals, not (2, 4, 256).
-        cfg = config(users=users, wavelet="bior22", snr_db=3.0)
-        bits = np.random.default_rng(17).integers(0, 2, (users, 100), dtype=np.uint8)
+    @pytest.mark.parametrize("wavelet", ["haar", "bior22"])
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
+    def test_noise_is_one_draw_per_despread_symbol(self, scheme, wavelet, users):
+        # 100 symbols per user fill 4 blocks of G = 32 slots, so the chain
+        # draws (dims, 4, users * 32) normals, not (dims, 4, 256): one real
+        # dimension for BPSK, whose decision reads Re(y) alone, and two for
+        # the schemes that read the imaginary part.
+        cfg = config(users=users, wavelet=wavelet, scheme=scheme, snr_db=3.0)
+        n_bits = 100 * cfg.scheme.bits_per_symbol
+        bits = np.random.default_rng(17).integers(0, 2, (users, n_bits), dtype=np.uint8)
         rng, twin = np.random.default_rng(18), np.random.default_rng(18)
         run_link_once(bits, cfg, rng)
-        twin.standard_normal((2, 4, users * 32))
+        twin.standard_normal((1 if scheme == "bpsk" else 2, 4, users * 32))
         assert rng.random() == twin.random()
 
     def test_coded_beats_uncoded_at_high_snr(self):

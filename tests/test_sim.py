@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -268,6 +269,22 @@ class TestOutputs:
                  if not l.startswith("#")]
         assert len(lines) == 21
         assert all(len(line.split()) == 7 for line in lines)
+
+    def test_golden_digest_of_small_sweep(self, tmp_path):
+        # Pins the values of a fixed grid: fig2 at three SNRs plus a DBPSK
+        # point over db2 and a coded DQPSK point over bior22.  A change to
+        # the draw order or to the values of any chain must update this
+        # digest and announce the new values (ROADMAP, reproducibility).
+        config = preset_config("fig2", 42, snr_db=(0.0, 4.0, 8.0), max_info_bits=40_000)
+        extra = [PointSpec(4.0, "dbpsk", "gold", "db2", False, 7),
+                 PointSpec(4.0, "dqpsk", "wh", "bior22", True, 7)]
+        records = run_sweep(config) + [
+            run_point(point, config.min_bit_errors, config.max_info_bits,
+                      point_seed(config.master_seed, point))
+            for point in extra]
+        write_outputs(records, tmp_path)
+        digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+        assert digest == "ab12a87fcc3ed1e9fa919e10e86dc4502be60c4701dc7cc127873da5b07935c5"
 
     def test_write_failure_has_path_context(self, tmp_path):
         target = tmp_path / "blocked"
