@@ -139,9 +139,11 @@ def _unpack_words(words: np.ndarray, width: int) -> np.ndarray:
 
 
 def _as_bits(bits) -> np.ndarray:
-    """Bit streams along the last axis (a 1-D stream or a (rows, n) array)."""
+    """Bit streams along the last axis (a 1-D stream or a (rows, n) array)
+    as uint8; the codec and the modem both validate their input here."""
     arr = np.atleast_1d(np.asarray(bits))
-    # Checked before the cast to uint8, which would wrap 256 to 0.
+    # Checked before the cast to uint8, which would wrap 256 to 0 and
+    # truncate 0.5 to 0.
     if arr.size and (arr.max() > 1 if arr.dtype == np.uint8
                      else not np.all((arr == 0) | (arr == 1))):
         raise ValueError("bits must be 0 or 1")

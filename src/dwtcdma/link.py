@@ -36,14 +36,15 @@ and C is the identity; channel_operators decides that once from the
 operator, and the link then uses sigma z itself, with no product.
 (energies, C) is built once per (code rows, wavelet) and cached by value.
 
-Only the noise the detector reads is drawn.  A coherent BPSK decision
-reads Re(y) alone, and the imaginary noise is independent of the real
-noise, so BPSK runs on the real parts only.  The other schemes read
-both: DBPSK decides on Re(y[n] y*[n-1]), which contains Im*Im.
+Only the noise the detector reads is drawn.  modulate returns the real
+dimensions (rails) its decision reads: one for BPSK, whose coherent
+decision reads Re(y) alone (the imaginary noise is independent of the
+real noise), and two for the others (DBPSK decides on Re(y[n] y*[n-1]),
+which contains Im*Im).  The link adds noise to the rails it is given.
 
 Randomness: the noise of a link run is one standard-normal draw of shape
-(dims, blocks, U*G), the real parts first and then, unless the scheme is
-BPSK (dims = 1), the imaginary parts (dims = 2).
+(dims, blocks, U*G), dims being the symbols' rail count: the real parts
+first and then, for complex symbols (dims = 2), the imaginary parts.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class LinkConfig:
         if not np.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
         sf = self.spreading.spreading_factor
+        if isinstance(self.num_users, bool) or not isinstance(self.num_users, (int, np.integer)):
+            raise ValueError(f"num_users must be an integer, got {self.num_users!r}")
         if not 1 <= self.num_users <= sf:
             raise ValueError(f"num_users must be in 1..{sf}, got {self.num_users}")
         if self.wavelet.block_size % sf:
@@ -215,13 +218,12 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
 
     info_bits has shape (num_users, n); every user carries independent
     data.  Returns (decoded bits of the same shape, total bit errors).
-    FEC padding to 12 and symbol padding to bits_per_symbol are tracked
-    internally and stripped; the noise drawn for the empty slots of the
-    final block is dropped.  The chunk draws scheme.noise_dims real
-    noise dimensions per despread symbol (1 for BPSK, whose decision
-    reads only the real part, which it then receives as a real array)
-    and colours them by C_w unless channel_operators found C to be the
-    identity.
+    The coded bits are padded with zeros to whole blocks of symbols and
+    the padding is stripped after detection; trailing symbols cannot
+    change an earlier decision, differential ones included.  The chunk
+    draws one noise value per rail of each despread symbol (see the
+    module docstring), colours them by C_w unless channel_operators
+    found C to be the identity, and adds them to the symbols in place.
     """
     bits = np.asarray(info_bits)  # not cast: encode_stream or modulate checks the values
     if bits.ndim != 2 or bits.shape[0] != config.num_users or bits.shape[1] == 0:
@@ -231,29 +233,25 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
 
     tx_bits = fec.encode_stream(bits)[0] if config.coded else bits
     n_coded = tx_bits.shape[1]
-    mod_pad = (-n_coded) % scheme.bits_per_symbol
-    symbols = modulate(np.pad(tx_bits, ((0, 0), (0, mod_pad))), scheme)
-    n_symbols = symbols.shape[1]
-
     group = config.symbols_per_block
-    n_blocks = max(1, -(-n_symbols // group))
+    block_bits = scheme.bits_per_symbol * group
+    n_blocks = -(-n_coded // block_bits)
+    symbols = modulate(np.pad(tx_bits, ((0, 0), (0, n_blocks * block_bits - n_coded))), scheme)
+    if config.total_power:
+        symbols = symbols / np.sqrt(n_users)
+
     width = n_users * group
     energies, factor = channel_operators(config.spreading, config.wavelet)
     sigma = noise_sigma_for(config.snr_db, config, float(np.mean(energies[:width])))
-    dims = scheme.noise_dims
+    # The symbols' rails as a (dims, U, blocks, G) view; slot k*G + g of
+    # block b of the noise belongs to user k's symbol b*G + g.
+    rails = np.moveaxis(symbols.view(np.float64).reshape(n_users, n_blocks, group, -1), -1, 0)
+    dims = len(rails)
     noise = _noise((n_blocks, width), sigma, rng, dims)
     if factor is not None:
         noise = noise @ factor[:width, :width]
-    # (re/im, blocks, U*G) -> (re/im, U, blocks*G): index k*G + g per block.
-    noise = noise.reshape(dims, n_blocks, n_users, group).transpose(0, 2, 1, 3)
-    noise = noise.reshape(dims, n_users, -1)[..., :n_symbols]
-    if config.total_power:
-        symbols = symbols / np.sqrt(n_users)
-    if dims == 1:
-        received = symbols.real + noise[0]
-    else:
-        received = symbols + (noise[0] + 1j * noise[1])
-    hard = demodulate(received, scheme)[:, :n_coded]
+    rails += noise.reshape(dims, n_blocks, n_users, group).transpose(0, 2, 1, 3)
+    hard = demodulate(symbols, scheme)[:, :n_coded]
     decoded = fec.decode_stream(hard, n_info) if config.coded else hard
     errors = int(np.count_nonzero(decoded != bits))
     return decoded, errors

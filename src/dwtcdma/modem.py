@@ -1,5 +1,5 @@
-"""Bit <-> unit-energy complex symbol mapping for BPSK, QPSK, DBPSK and
-DQPSK with hard-decision demodulation.
+"""Bit <-> unit-energy symbol mapping for BPSK, QPSK, DBPSK and DQPSK
+with hard-decision demodulation.
 
 Mappings:
   BPSK   bit 0 -> +1, bit 1 -> -1.
@@ -9,10 +9,15 @@ Mappings:
          as (0,0)->0, (0,1)->pi/2, (1,1)->pi, (1,0)->3*pi/2, against an
          implicit reference (1+1j)/sqrt(2).
 
+modulate returns the real dimensions its detector reads: real float64
+for BPSK, whose decision reads Re(r) alone, and complex128 for the
+others (DBPSK decides on Re(r[n] r*[n-1]), which contains
+Im(r[n]) Im(r[n-1])).  The link adds noise to exactly those dimensions.
+
 The differential reference symbol is never transmitted; the receiver
 assumes the same constellation point, so frame lengths stay exact.
 Differential phase chains are tracked as integer quarter/half turns and
-only converted to complex values once, which keeps long streams free of
+only converted to symbol values once, which keeps long streams free of
 cumulative-product drift.
 
 Both directions act along the last axis: a (users, n) array maps each
@@ -25,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fec import _as_bits
+
 _SQRT2 = np.sqrt(2.0)
 
 
@@ -32,21 +39,13 @@ _SQRT2 = np.sqrt(2.0)
 class ModulationScheme:
     name: str
     bits_per_symbol: int
-    differential: bool
-
-    @property
-    def noise_dims(self) -> int:
-        """Real dimensions of a received symbol that its decision reads:
-        1 for BPSK, which reads Re(r) alone; 2 for the others (DBPSK reads
-        Re(r[n] r*[n-1]), which contains Im(r[n]) Im(r[n-1]))."""
-        return 1 if self.bits_per_symbol == 1 and not self.differential else 2
 
 
 SCHEMES = {
-    "bpsk": ModulationScheme("bpsk", 1, False),
-    "qpsk": ModulationScheme("qpsk", 2, False),
-    "dbpsk": ModulationScheme("dbpsk", 1, True),
-    "dqpsk": ModulationScheme("dqpsk", 2, True),
+    "bpsk": ModulationScheme("bpsk", 1),
+    "qpsk": ModulationScheme("qpsk", 2),
+    "dbpsk": ModulationScheme("dbpsk", 1),
+    "dqpsk": ModulationScheme("dqpsk", 2),
 }
 
 # Quarter-turn lookup: i^k for k = 0..3.
@@ -72,21 +71,13 @@ def bits_per_symbol(scheme) -> int:
     return get_scheme(scheme).bits_per_symbol
 
 
-def _as_bits(bits) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(bits))
-    # Checked before the cast, which would truncate 0.5 to 0.
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bits must be 0 or 1")
-    return arr.astype(np.int64, copy=False)
-
-
 def _pairs(b: np.ndarray) -> np.ndarray:
     return b.reshape(b.shape[:-1] + (-1, 2))
 
 
 def modulate(bits, scheme) -> np.ndarray:
     """Map a bit stream (or each row of an array of streams) to unit-energy
-    complex symbols."""
+    symbols: real float64 for BPSK, complex128 for the other schemes."""
     sch = get_scheme(scheme)
     b = _as_bits(bits)
     if b.shape[-1] % sch.bits_per_symbol:
@@ -94,13 +85,13 @@ def modulate(bits, scheme) -> np.ndarray:
             f"bit count {b.shape[-1]} is not divisible by {sch.bits_per_symbol} ({sch.name})"
         )
     if sch.name == "bpsk":
-        return (1 - 2 * b).astype(np.complex128)
+        return 1.0 - 2.0 * b
     if sch.name == "qpsk":
         pairs = _pairs(b)
-        return ((1 - 2 * pairs[..., 0]) + 1j * (1 - 2 * pairs[..., 1])) / _SQRT2
+        return ((1.0 - 2.0 * pairs[..., 0]) + 1j * (1.0 - 2.0 * pairs[..., 1])) / _SQRT2
     if sch.name == "dbpsk":
-        # Sign chain in exact integers: s[n] = prod of (1-2b) up to n.
-        return np.cumprod(1 - 2 * b, axis=-1).astype(np.complex128)
+        # Sign chain in exact bits: s[n] = -1 where the XOR of b up to n is 1.
+        return (1.0 - 2.0 * np.bitwise_xor.accumulate(b, axis=-1)).astype(np.complex128)
     # dqpsk: accumulate quarter turns modulo 4 from the reference.
     pairs = _pairs(b)
     turns = _GRAY_TO_TURNS[2 * pairs[..., 0] + pairs[..., 1]]

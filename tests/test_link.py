@@ -142,6 +142,14 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match="num_users"):
             config(users=9)
 
+    @pytest.mark.parametrize("users", [7.5, True, np.float64(3.0)])
+    def test_rejects_non_integer_users(self, users):
+        with pytest.raises(ValueError, match="num_users must be an integer"):
+            config(users=users)
+
+    def test_accepts_numpy_integer_users(self):
+        assert config(users=np.int64(3)).num_users == 3
+
     def test_rejects_incompatible_block(self):
         with pytest.raises(ValueError, match="divisible"):
             LinkConfig(walsh_hadamard(8), WaveletSpec("haar", 4, 2), "bpsk", 1)

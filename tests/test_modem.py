@@ -8,7 +8,12 @@ from dwtcdma.modem import SCHEMES, bits_per_symbol, demodulate, get_scheme, modu
 
 class TestMappings:
     def test_bpsk_mapping(self):
-        assert modulate([0, 1], "bpsk").tolist() == [1 + 0j, -1 + 0j]
+        # Symbols carry the rails their detector reads: BPSK's real part
+        # alone, both parts for the others.
+        symbols = modulate([0, 1], "bpsk")
+        assert symbols.dtype == np.float64 and symbols.tolist() == [1.0, -1.0]
+        for name in ("qpsk", "dbpsk", "dqpsk"):
+            assert modulate([0, 1], name).dtype == np.complex128
 
     def test_dbpsk_example(self):
         # Differential rule from reference +1: 0 keeps, 1 flips.
@@ -62,7 +67,9 @@ class TestRoundTrips:
     def test_long_random_stream(self, name):
         rng = np.random.default_rng(hash(name) % 2**32)
         bits = rng.integers(0, 2, 10_000)
-        assert np.array_equal(demodulate(modulate(bits, name), name), bits)
+        # Every input dtype round-trips: 1 - 2*b must not wrap on uint8.
+        for dtype in (np.int64, np.uint8, bool):
+            assert np.array_equal(demodulate(modulate(bits.astype(dtype), name), name), bits)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_rows_are_independent_streams(self, name):

@@ -135,6 +135,7 @@ class TestRunSweep:
         ({"snr_db": (0.0, 0.0)}, "snr_db has duplicate values"),
         ({"user_counts": (7, 7)}, "user_counts has duplicate values"),
         ({"schemes": ("bpsk", "BPSK")}, "schemes has duplicate values"),
+        ({"user_counts": (1, 7.5)}, "num_users"),
     ])
     def test_invalid_grid_fails_before_first_point(self, axes, message, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -272,19 +273,24 @@ class TestOutputs:
 
     def test_golden_digest_of_small_sweep(self, tmp_path):
         # Pins the values of a fixed grid: fig2 at three SNRs plus a DBPSK
-        # point over db2 and a coded DQPSK point over bior22.  A change to
+        # point over db2, a coded DQPSK point over bior22, an uncoded QPSK
+        # point, a shared-power coded BPSK point and a 1-user coded DBPSK
+        # point over bior22, whose final block is partial.  A change to
         # the draw order or to the values of any chain must update this
         # digest and announce the new values (ROADMAP, reproducibility).
         config = preset_config("fig2", 42, snr_db=(0.0, 4.0, 8.0), max_info_bits=40_000)
         extra = [PointSpec(4.0, "dbpsk", "gold", "db2", False, 7),
-                 PointSpec(4.0, "dqpsk", "wh", "bior22", True, 7)]
+                 PointSpec(4.0, "dqpsk", "wh", "bior22", True, 7),
+                 PointSpec(4.0, "qpsk", "gcs", "db2", False, 3),
+                 PointSpec(6.0, "bpsk", "gold", "bior22", True, 5, total_power=True),
+                 PointSpec(4.0, "dbpsk", "wh", "bior22", True, 1)]
         records = run_sweep(config) + [
             run_point(point, config.min_bit_errors, config.max_info_bits,
                       point_seed(config.master_seed, point))
             for point in extra]
         write_outputs(records, tmp_path)
         digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-        assert digest == "ab12a87fcc3ed1e9fa919e10e86dc4502be60c4701dc7cc127873da5b07935c5"
+        assert digest == "cd5cc7cca0e7b8ba09ea187915b9dcde30bc96d88d7711d1b754c76cd1f57f7e"
 
     def test_write_failure_has_path_context(self, tmp_path):
         target = tmp_path / "blocked"
