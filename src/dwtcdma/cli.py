@@ -1,9 +1,13 @@
 """Command-line interface: spreading-code inspection and verification,
-Golay codec verification, and Monte-Carlo BER sweeps."""
+Golay codec verification, and Monte-Carlo BER sweeps.
+
+Sweep flags pass only the values given on to `sim.SimConfig` or a
+preset, so the defaults live in SimConfig alone."""
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -45,11 +49,17 @@ def _parse_jobs(text: str) -> int:
     return jobs
 
 
+def _parse_names(text: str) -> tuple:
+    return tuple(text.split(","))
+
+
+_CODED = {"both": (False, True), "coded": (True,), "uncoded": (False,)}
+
+
 def _parse_coded(text: str) -> tuple:
-    table = {"both": (False, True), "coded": (True,), "uncoded": (False,)}
-    if text not in table:
+    if text not in _CODED:
         raise argparse.ArgumentTypeError("--coded must be both, coded or uncoded")
-    return table[text]
+    return _CODED[text]
 
 
 def _cmd_codes_dump(args) -> int:
@@ -86,34 +96,15 @@ def _cmd_fec_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = {}
-    if args.min_errors is not None:
-        overrides["min_bit_errors"] = args.min_errors
-    if args.max_bits is not None:
-        overrides["max_info_bits"] = args.max_bits
-    if args.total_power:
-        overrides["total_power"] = True
-    if args.sf is not None:
-        overrides["spreading_factor"] = args.sf
-    if args.levels is not None:
-        overrides["levels"] = args.levels
-
+    given = {f.name: value for f in dataclasses.fields(sim.SimConfig)
+             if (value := getattr(args, f.name)) is not None}
     if args.preset:
-        config = sim.preset_config(args.preset, master_seed=args.seed, **overrides)
+        config = sim.preset_config(args.preset, **given)
+    elif args.snr_db is None:
+        print("error: provide --preset or --snr", file=sys.stderr)
+        return 2
     else:
-        if args.snr is None:
-            print("error: provide --preset or --snr", file=sys.stderr)
-            return 2
-        config = sim.SimConfig(
-            snr_db=args.snr,
-            schemes=tuple(args.scheme.split(",")),
-            families=tuple(args.family.split(",")),
-            wavelets=tuple(args.wavelet.split(",")),
-            coded_flags=args.coded,
-            user_counts=args.users,
-            master_seed=args.seed,
-            **overrides,
-        )
+        config = sim.SimConfig(**given)
 
     records = sim.run_sweep(config, jobs=args.jobs)
     paths = sim.write_outputs(records, args.out, config, preset=args.preset)
@@ -151,21 +142,31 @@ def build_parser() -> argparse.ArgumentParser:
     verify = fec_sub.add_parser("verify", help="exhaustive codec verification")
     verify.set_defaults(func=_cmd_fec_verify)
 
+    # Each flag below stores into the SimConfig field named by its dest and
+    # defaults to None; its help shows that field's default.
+    default = {f.name: f.default for f in dataclasses.fields(sim.SimConfig)}
+    default["coded_flags"] = {v: k for k, v in _CODED.items()}[default["coded_flags"]]
     sweep = sub.add_parser("sweep", help="run a Monte-Carlo BER sweep")
     sweep.add_argument("--preset", choices=sorted(sim.PRESETS), help="figure-analogue grid")
-    sweep.add_argument("--snr", type=_parse_float_axis, help="dB values: a:b:step or comma list")
-    sweep.add_argument("--scheme", help="comma list of bpsk,qpsk,dbpsk,dqpsk (default bpsk)")
-    sweep.add_argument("--family", help="comma list of wh,gold,gcs (default all)")
-    sweep.add_argument("--wavelet", help="comma list of haar,db2,bior22 (default haar)")
-    sweep.add_argument("--levels", type=int, help="wavelet cascade depth (default 8)")
-    sweep.add_argument("--coded", type=_parse_coded, help="both, coded or uncoded (default both)")
-    sweep.add_argument("--users", type=_parse_int_axis, help="user counts (default 7)")
-    sweep.add_argument("--sf", type=int, help="spreading factor (default 8)")
-    sweep.add_argument("--seed", type=int, default=0, help="master seed")
-    sweep.add_argument("--min-errors", type=int, help="stop rule: target bit errors per point")
-    sweep.add_argument("--max-bits", type=int, help="stop rule: information-bit budget per point")
+    sweep.add_argument("--snr", dest="snr_db", type=_parse_float_axis,
+                       help="dB values: a:b:step or comma list")
+    for flag, dest, parse, text in (
+        ("--scheme", "schemes", _parse_names, "comma list of bpsk,qpsk,dbpsk,dqpsk"),
+        ("--family", "families", _parse_names, "comma list of wh,gold,gcs"),
+        ("--wavelet", "wavelets", _parse_names, "comma list of haar,db2,bior22"),
+        ("--levels", "levels", int, "wavelet cascade depth"),
+        ("--coded", "coded_flags", _parse_coded, "both, coded or uncoded"),
+        ("--users", "user_counts", _parse_int_axis, "user counts"),
+        ("--sf", "spreading_factor", int, "spreading factor"),
+        ("--seed", "master_seed", int, "master seed"),
+        ("--min-errors", "min_bit_errors", int, "stop rule: target bit errors per point"),
+        ("--max-bits", "max_info_bits", int, "stop rule: information-bit budget per point"),
+    ):
+        value = default[dest]
+        shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        sweep.add_argument(flag, dest=dest, type=parse, help=f"{text} (default {shown})")
     sweep.add_argument("--out", default="results", help="output directory")
-    sweep.add_argument("--total-power", action="store_true",
+    sweep.add_argument("--total-power", action="store_const", const=True,
                        help="hold total transmit power constant as users grow")
     sweep.add_argument("--jobs", type=_parse_jobs, default=1, help="worker processes")
     sweep.set_defaults(func=_cmd_sweep)
@@ -173,23 +174,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Grid flags and their explicit-grid defaults; the parser leaves them None
-# so that one given with --preset, which sets its own grid, is refused.
-_GRID_DEFAULTS = {"snr": None, "scheme": "bpsk", "family": ",".join(spreading.FAMILIES),
-                  "wavelet": "haar", "coded": (False, True), "users": (7,)}
+# The grid axes, which a preset sets itself, and their flags.
+_GRID_FLAGS = {"snr_db": "--snr", "schemes": "--scheme", "families": "--family",
+               "wavelets": "--wavelet", "coded_flags": "--coded", "user_counts": "--users"}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "sweep":
-        given = [f"--{dest}" for dest in _GRID_DEFAULTS if getattr(args, dest) is not None]
-        if args.preset and given:
+    if args.command == "sweep" and args.preset:
+        given = [flag for name, flag in _GRID_FLAGS.items() if getattr(args, name) is not None]
+        if given:
             parser.error(f"{', '.join(given)} cannot be combined with --preset, "
                          "which sets its own grid")
-        for dest, default in _GRID_DEFAULTS.items():
-            if getattr(args, dest) is None:
-                setattr(args, dest, default)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

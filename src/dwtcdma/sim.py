@@ -1,6 +1,9 @@
 """Monte-Carlo sweep engine: per-point BER estimation with a stop rule,
 closed-form reference curves, result persistence and figure presets.
 
+A `SimConfig` is the one description of a sweep: a figure preset holds
+only the axes it sets, and the manifest echoes every field.
+
 Reproducibility contract: every sweep point derives its own seed by
 hashing (master_seed, point coordinates), so results are independent of
 execution order and of how many worker processes run the sweep.  Within
@@ -16,7 +19,8 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -98,6 +102,15 @@ class SimConfig:
                 # A repeated value would run one point twice under one seed.
                 raise ValueError(f"sweep axis {name} has duplicate values: {value}")
             object.__setattr__(self, name, value)
+        for name in ("spreading_factor", "levels", "min_bit_errors", "max_info_bits",
+                     "master_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.total_power, bool):
+            raise ValueError(f"total_power must be a bool, got {self.total_power!r}")
+        if not all(isinstance(flag, bool) for flag in self.coded_flags):
+            raise ValueError(f"coded_flags must hold bools, got {self.coded_flags}")
         if self.min_bit_errors < 1:
             raise ValueError("min_bit_errors must be >= 1")
         if self.max_info_bits < 12:
@@ -180,27 +193,20 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
                      seed, time.perf_counter() - started)
 
 
-def _run_point_task(args) -> BerRecord:
-    point, min_errors, max_bits, seed = args
-    return run_point(point, min_errors, max_bits, seed)
-
-
 def run_sweep(config: SimConfig, jobs: int = 1) -> list[BerRecord]:
     """Run the Cartesian product of the sweep axes.
 
     Records come back sorted by coordinates, identically for any jobs
     count, because every point owns a coordinate-derived seed.
     """
-    tasks = [
-        (point, config.min_bit_errors, config.max_info_bits,
-         point_seed(config.master_seed, point))
-        for point in config.points()
-    ]
+    points = config.points()
+    args = (points, repeat(config.min_bit_errors), repeat(config.max_info_bits),
+            [point_seed(config.master_seed, point) for point in points])
     if jobs > 1:
         with _worker_pool(jobs) as pool:
-            records = list(pool.map(_run_point_task, tasks, chunksize=1))
+            records = list(pool.map(run_point, *args, chunksize=1))
     else:
-        records = [_run_point_task(task) for task in tasks]
+        records = list(map(run_point, *args))
     records.sort(key=lambda r: (r.snr_db, r.scheme, r.family, r.wavelet,
                                 r.coded, r.users))
     return records
@@ -274,31 +280,24 @@ def theoretical_ber(scheme, ebn0_db: float) -> float:
 
 CSV_HEADER = "snr_db,scheme,family,wavelet,coded,users,bits_sent,bit_errors,ber,seed"
 
-# Figure analogues: (x axis, fixed scheme, snr grid, user counts).
+# Figure analogues: the axes each one sets, on top of SimConfig's
+# defaults, and the x axis of its plot.
 PRESETS = {
-    "fig2": {"scheme": "bpsk", "snr_db": DEFAULT_SNR_GRID, "user_counts": (7,), "x": "snr_db"},
-    "fig3": {"scheme": "dbpsk", "snr_db": DEFAULT_SNR_GRID, "user_counts": (7,), "x": "snr_db"},
-    "fig4": {"scheme": "qpsk", "snr_db": DEFAULT_SNR_GRID, "user_counts": (7,), "x": "snr_db"},
-    "fig5": {"scheme": "dqpsk", "snr_db": DEFAULT_SNR_GRID, "user_counts": (7,), "x": "snr_db"},
-    "fig6": {"scheme": "bpsk", "snr_db": (-10.0,), "user_counts": tuple(range(1, 8)), "x": "users"},
-    "fig7": {"scheme": "bpsk", "snr_db": (0.0,), "user_counts": tuple(range(1, 8)), "x": "users"},
+    "fig2": {"axes": {"schemes": ("bpsk",)}, "x": "snr_db"},
+    "fig3": {"axes": {"schemes": ("dbpsk",)}, "x": "snr_db"},
+    "fig4": {"axes": {"schemes": ("qpsk",)}, "x": "snr_db"},
+    "fig5": {"axes": {"schemes": ("dqpsk",)}, "x": "snr_db"},
+    "fig6": {"axes": {"snr_db": (-10.0,), "user_counts": tuple(range(1, 8))}, "x": "users"},
+    "fig7": {"axes": {"snr_db": (0.0,), "user_counts": tuple(range(1, 8))}, "x": "users"},
 }
 
 
 def preset_config(name: str, master_seed: int = 0, **overrides) -> SimConfig:
+    """The SimConfig of a figure analogue: SimConfig's defaults, then the
+    axes the preset sets, then the overrides."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r} (choose from {sorted(PRESETS)})")
-    preset = PRESETS[name]
-    config = SimConfig(
-        snr_db=preset["snr_db"],
-        schemes=(preset["scheme"],),
-        families=FAMILIES,
-        wavelets=("haar",),
-        coded_flags=(False, True),
-        user_counts=preset["user_counts"],
-        master_seed=master_seed,
-    )
-    return replace(config, **overrides) if overrides else config
+    return SimConfig(**{**PRESETS[name]["axes"], "master_seed": master_seed, **overrides})
 
 
 def _format_record(r: BerRecord) -> str:
@@ -350,11 +349,7 @@ def _write_manifest(path: Path, config: SimConfig | None, preset: str | None) ->
     if preset:
         lines.append(f"preset: {preset}")
     if config is not None:
-        lines.append(f"master_seed: {config.master_seed}")
-        for name in ("snr_db", "schemes", "families", "wavelets", "coded_flags",
-                     "user_counts", "spreading_factor", "total_power", "levels",
-                     "min_bit_errors", "max_info_bits"):
-            lines.append(f"{name}: {getattr(config, name)}")
+        lines += [f"{f.name}: {getattr(config, f.name)}" for f in fields(config)]
     path.write_text("\n".join(lines) + "\n")
     return path
 

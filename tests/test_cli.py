@@ -1,8 +1,10 @@
 
+import dataclasses
+
 import pytest
 
 from dwtcdma import sim
-from dwtcdma.cli import _parse_float_axis, main
+from dwtcdma.cli import _parse_float_axis, build_parser, main
 
 
 class TestCodesCommands:
@@ -112,6 +114,40 @@ class TestSweepCommand:
         assert exit_info.value.code == 2
         assert f"{flag} cannot be combined with --preset" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, fields", [
+        ([], {}),
+        (["--snr", "2:4:2"], {"snr_db": (2.0, 4.0)}),
+        (["--scheme", "qpsk,dbpsk"], {"schemes": ("qpsk", "dbpsk")}),
+        (["--family", "wh,gcs"], {"families": ("wh", "gcs")}),
+        (["--wavelet", "db2"], {"wavelets": ("db2",)}),
+        (["--levels", "3"], {"levels": 3}),
+        (["--coded", "coded"], {"coded_flags": (True,)}),
+        (["--users", "1:3"], {"user_counts": (1, 2, 3)}),
+        # Gold has no SF 16 code set, so SF 16 needs a family without gold.
+        (["--sf", "16", "--family", "wh"], {"spreading_factor": 16, "families": ("wh",)}),
+        (["--seed", "5"], {"master_seed": 5}),
+        (["--min-errors", "7"], {"min_bit_errors": 7}),
+        (["--max-bits", "5000"], {"max_info_bits": 5000}),
+        (["--total-power"], {"total_power": True}),
+        (["--preset", "fig7", "--max-bits", "100"], None),
+    ])
+    def test_flags_map_onto_config_fields(self, tmp_path, monkeypatch, args, fields):
+        # Only the flags given reach the config; every other field keeps
+        # its SimConfig default.
+        seen = []
+        monkeypatch.setattr(sim, "run_sweep", lambda config, jobs: seen.append(config) or [])
+        if fields is None:
+            argv, expected = args, sim.preset_config("fig7", max_info_bits=100)
+        else:
+            argv, expected = ["--snr", "0", *args], sim.SimConfig(**{"snr_db": (0.0,), **fields})
+        assert main(["sweep", "--out", str(tmp_path), *argv]) == 0
+        assert seen == [expected]
+
+    def test_sweep_flags_default_to_none(self):
+        # The defaults live in SimConfig alone.
+        args = build_parser().parse_args(["sweep"])
+        assert all(getattr(args, f.name) is None for f in dataclasses.fields(sim.SimConfig))
 
 
 class TestAxisParsing:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -136,6 +137,13 @@ class TestRunSweep:
         ({"user_counts": (7, 7)}, "user_counts has duplicate values"),
         ({"schemes": ("bpsk", "BPSK")}, "schemes has duplicate values"),
         ({"user_counts": (1, 7.5)}, "num_users"),
+        ({"master_seed": 1.5}, "master_seed must be an integer"),
+        ({"max_info_bits": 1000.5}, "max_info_bits must be an integer"),
+        ({"coded_flags": ("yes",)}, "coded_flags must hold bools"),
+        ({"total_power": "no"}, "total_power must be a bool"),
+        ({"min_bit_errors": 2.5}, "min_bit_errors must be an integer"),
+        ({"spreading_factor": 8.0}, "spreading_factor must be an integer"),
+        ({"levels": 3.0}, "levels must be an integer"),
     ])
     def test_invalid_grid_fails_before_first_point(self, axes, message, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -143,7 +151,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sim, "run_point", unreachable)
         with pytest.raises(ValueError, match=message):
-            run_sweep(SimConfig(**axes, **FAST))
+            run_sweep(SimConfig(**{**FAST, **axes}))
 
     def test_user_sweep_grid(self):
         config = preset_config("fig6", **FAST)
@@ -258,6 +266,9 @@ class TestOutputs:
         manifest = (tmp_path / "manifest.txt").read_text()
         assert "master_seed: 1234" in manifest
         assert "dwtcdma_version: " + __version__ in manifest
+        # One line per SimConfig field, after the version.
+        assert manifest.splitlines()[1:] == [f"{f.name}: {getattr(config, f.name)}"
+                                             for f in dataclasses.fields(SimConfig)]
 
     def test_plot_file_shape_fig2(self, tmp_path):
         config = preset_config("fig2", master_seed=0, snr_db=tuple(float(s) for s in range(21)),
