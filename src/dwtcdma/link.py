@@ -225,18 +225,20 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     module docstring), colours them by C_w unless channel_operators
     found C to be the identity, and adds them to the symbols in place.
     """
-    bits = np.asarray(info_bits)  # not cast: encode_stream or modulate checks the values
+    bits = np.asarray(info_bits)  # not cast: encode_stream or _as_bits checks the values
     if bits.ndim != 2 or bits.shape[0] != config.num_users or bits.shape[1] == 0:
         raise ValueError(f"info_bits must have shape ({config.num_users}, n) with n >= 1")
     n_users, n_info = bits.shape
     scheme = config.scheme
 
-    tx_bits = fec.encode_stream(bits)[0] if config.coded else bits
+    tx_bits = fec.encode_stream(bits)[0] if config.coded else fec._as_bits(bits)
     n_coded = tx_bits.shape[1]
     group = config.symbols_per_block
     block_bits = scheme.bits_per_symbol * group
     n_blocks = -(-n_coded // block_bits)
-    symbols = modulate(np.pad(tx_bits, ((0, 0), (0, n_blocks * block_bits - n_coded))), scheme)
+    padded = np.zeros((n_users, n_blocks * block_bits), dtype=np.uint8)
+    padded[:, :n_coded] = tx_bits
+    symbols = modulate(padded, scheme)
     if config.total_power:
         symbols = symbols / np.sqrt(n_users)
 

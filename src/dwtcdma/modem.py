@@ -51,8 +51,10 @@ SCHEMES = {
 # Quarter-turn lookup: i^k for k = 0..3.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 _DQPSK_REF = (1 + 1j) / _SQRT2
+# DQPSK symbol after k quarter turns from the reference.
+_DQPSK_SYMBOLS = _DQPSK_REF * _QUARTER_TURNS
 # Gray code of the bit pair (b0, b1) packed as 2*b0 + b1 -> turn count.
-_GRAY_TO_TURNS = np.array([0, 1, 3, 2], dtype=np.int64)
+_GRAY_TO_TURNS = np.array([0, 1, 3, 2], dtype=np.uint8)
 _TURNS_TO_BITS = np.zeros((4, 2), dtype=np.uint8)
 for _pair, _turn in enumerate(_GRAY_TO_TURNS):
     _TURNS_TO_BITS[_turn] = (_pair >> 1, _pair & 1)
@@ -92,10 +94,11 @@ def modulate(bits, scheme) -> np.ndarray:
     if sch.name == "dbpsk":
         # Sign chain in exact bits: s[n] = -1 where the XOR of b up to n is 1.
         return (1.0 - 2.0 * np.bitwise_xor.accumulate(b, axis=-1)).astype(np.complex128)
-    # dqpsk: accumulate quarter turns modulo 4 from the reference.
+    # dqpsk: accumulate quarter turns modulo 4 from the reference.  The
+    # uint8 sum wraps modulo 256, a multiple of 4, so & 3 stays exact.
     pairs = _pairs(b)
-    turns = _GRAY_TO_TURNS[2 * pairs[..., 0] + pairs[..., 1]]
-    return _DQPSK_REF * _QUARTER_TURNS[np.cumsum(turns, axis=-1) % 4]
+    turns = _GRAY_TO_TURNS.take(2 * pairs[..., 0] + pairs[..., 1])
+    return _DQPSK_SYMBOLS.take(np.cumsum(turns, axis=-1, dtype=np.uint8) & 3)
 
 
 def demodulate(symbols, scheme) -> np.ndarray:
