@@ -42,9 +42,12 @@ decision reads Re(y) alone (the imaginary noise is independent of the
 real noise), and two for the others (DBPSK decides on Re(y[n] y*[n-1]),
 which contains Im*Im).  The link adds noise to the rails it is given.
 
-Randomness: the noise of a link run is one standard-normal draw of shape
-(dims, blocks, U*G), dims being the symbols' rail count: the real parts
-first and then, for complex symbols (dims = 2), the imaginary parts.
+Randomness: the link draws only noise, from the generator it is given,
+after the caller has drawn the payload from it (sim.run_point draws from
+an SFC64 generator).  The noise of a link run is one standard-normal
+draw of shape (dims, blocks, U*G), dims being the symbols' rail count:
+the real parts first and then, for complex symbols (dims = 2), the
+imaginary parts.
 """
 
 from __future__ import annotations

@@ -48,11 +48,9 @@ SCHEMES = {
     "dqpsk": ModulationScheme("dqpsk", 2),
 }
 
-# Quarter-turn lookup: i^k for k = 0..3.
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 _DQPSK_REF = (1 + 1j) / _SQRT2
-# DQPSK symbol after k quarter turns from the reference.
-_DQPSK_SYMBOLS = _DQPSK_REF * _QUARTER_TURNS
+# DQPSK symbol after k = 0..3 quarter turns from the reference: ref * i^k.
+_DQPSK_SYMBOLS = _DQPSK_REF * np.array([1, 1j, -1, -1j], dtype=np.complex128)
 # Gray code of the bit pair (b0, b1) packed as 2*b0 + b1 -> turn count.
 _GRAY_TO_TURNS = np.array([0, 1, 3, 2], dtype=np.uint8)
 _TURNS_TO_BITS = np.zeros((4, 2), dtype=np.uint8)

@@ -6,9 +6,10 @@ only the axes it sets, and the manifest echoes every field.
 
 Reproducibility contract: every sweep point derives its own seed by
 hashing (master_seed, point coordinates), so results are independent of
-execution order and of how many worker processes run the sweep.  Within
-a point the draw order is: payload bits for all users, then channel
-noise, repeated per chunk.
+execution order and of how many worker processes run the sweep.  A point
+draws from np.random.Generator(SFC64(seed)).  Each chunk draws the
+payload bits of all users first, as the bits of one rng.bytes call
+unpacked most significant first, and then the channel noise.
 """
 
 from __future__ import annotations
@@ -92,8 +93,10 @@ class SimConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        # Canonical scheme names, so that the duplicate check sees "BPSK" as "bpsk".
+        # Canonical values, so that the duplicate check sees "BPSK" as "bpsk"
+        # and "5" as 5.0.
         object.__setattr__(self, "schemes", tuple(get_scheme(s).name for s in self.schemes))
+        object.__setattr__(self, "snr_db", tuple(_as_snr(s) for s in self.snr_db))
         for name in ("snr_db", "schemes", "families", "wavelets", "coded_flags", "user_counts"):
             value = tuple(getattr(self, name))
             if not value:
@@ -122,7 +125,7 @@ class SimConfig:
 
     def points(self) -> list[PointSpec]:
         return [
-            PointSpec(float(snr), scheme, family, wavelet, coded, users,
+            PointSpec(snr, scheme, family, wavelet, coded, users,
                       self.spreading_factor, self.total_power, self.levels)
             for snr in self.snr_db
             for scheme in self.schemes
@@ -131,6 +134,14 @@ class SimConfig:
             for coded in self.coded_flags
             for users in self.user_counts
         ]
+
+
+def _as_snr(value) -> float:
+    """An SNR axis value as a float; a bool or a non-number is an error."""
+    if not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(TypeError, ValueError):
+            return float(value)
+    raise ValueError(f"snr_db must hold numbers, got {value!r}")
 
 
 def point_seed(master_seed: int, point: PointSpec) -> int:
@@ -174,7 +185,7 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
     """
     started = time.perf_counter()
     config = link_config_for(point)
-    rng = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.SFC64(seed))
     chunk = _chunk_bits_per_user(config)
 
     bits_sent = 0
@@ -183,7 +194,11 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
         # The last chunk carries only what is left of the budget, rounded up
         # to whole bits per user.
         per_user = min(chunk, -(-(max_info_bits - bits_sent) // config.num_users))
-        payload = rng.integers(0, 2, size=(config.num_users, per_user), dtype=np.uint8)
+        # Fair i.i.d. bits: one rng.bytes draw, unpacked most significant
+        # bit first, the unused bits of its last byte dropped.
+        size = config.num_users * per_user
+        raw = np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8)
+        payload = np.unpackbits(raw, count=size).reshape(config.num_users, per_user)
         _, errors = run_link_once(payload, config, rng)
         bit_errors += errors
         bits_sent += payload.size

@@ -40,6 +40,22 @@ class TestMappings:
             if abs(z1 * np.conj(z2) - 1j) < 1e-12 or abs(z1 * np.conj(z2) + 1j) < 1e-12:
                 assert (b0 != c0) + (b1 != c1) == 1
 
+    def test_dqpsk_matches_symbol_by_symbol_reference(self):
+        # Each symbol turns the previous one by the Gray-coded quarter
+        # turns of its bit pair.  The all-(1, 0) row adds 3 turns a symbol,
+        # so a running turn count held in 8 bits wraps after 86 symbols.
+        turns = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
+        rows = np.stack([np.random.default_rng(3).integers(0, 2, 2000),
+                         np.tile([1, 0], 1000)])
+        expected = []
+        for row in rows.tolist():
+            symbol, out = (1 + 1j) / np.sqrt(2), []
+            for pair in zip(row[::2], row[1::2]):
+                symbol *= 1j ** turns[pair]
+                out.append(symbol)
+            expected.append(out)
+        assert np.array_equal(modulate(rows, "dqpsk"), expected)
+
     def test_bits_per_symbol(self):
         assert bits_per_symbol("bpsk") == 1
         assert bits_per_symbol("qpsk") == 2

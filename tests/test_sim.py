@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dwtcdma import __version__, sim
+from dwtcdma.link import run_link_once
 from dwtcdma.sim import (
     BerRecord,
     PointSpec,
@@ -59,6 +61,22 @@ class TestRunPoint:
                            min_bit_errors=400, max_info_bits=10_000_000, seed=11)
         theory = theoretical_ber("bpsk", 4.0)
         assert abs(record.ber - theory) / theory < 0.15
+
+    @pytest.mark.parametrize("point", [PointSpec(2.0, "bpsk", "wh", "haar", False, 3),
+                                       PointSpec(2.0, "dqpsk", "gold", "bior22", True, 7)])
+    def test_one_chunk_replays_from_its_draws(self, point):
+        # The draw contract: the generator is Generator(SFC64(seed)), and a
+        # chunk draws its payload as the bits of one rng.bytes call, most
+        # significant first, and then the link's noise.  3003 bits fill
+        # one chunk and end inside a byte.
+        seed = point_seed(5, point)
+        rng = np.random.Generator(np.random.SFC64(seed))
+        raw = np.frombuffer(rng.bytes(376), dtype=np.uint8)
+        payload = np.unpackbits(raw, count=3003).reshape(point.users, -1)
+        _, errors = run_link_once(payload, link_config_for(point), rng)
+        assert errors > 0
+        expected = BerRecord(*point[:6], 3003, errors, errors / 3003, seed)
+        assert run_point(point, 10**6, 3003, seed) == expected
 
     def test_gold_sf16_rejected(self):
         with pytest.raises(ValueError, match="degree 4"):
@@ -144,6 +162,8 @@ class TestRunSweep:
         ({"min_bit_errors": 2.5}, "min_bit_errors must be an integer"),
         ({"spreading_factor": 8.0}, "spreading_factor must be an integer"),
         ({"levels": 3.0}, "levels must be an integer"),
+        ({"snr_db": ("5", "5.0")}, "snr_db has duplicate values"),
+        ({"snr_db": (True,)}, "snr_db must hold numbers"),
     ])
     def test_invalid_grid_fails_before_first_point(self, axes, message, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -301,7 +321,7 @@ class TestOutputs:
             for point in extra]
         write_outputs(records, tmp_path)
         digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-        assert digest == "cd5cc7cca0e7b8ba09ea187915b9dcde30bc96d88d7711d1b754c76cd1f57f7e"
+        assert digest == "f53a4d2aaa751aa0f41a4a4332ab4fac2f0648a2c26318921d2f2e0480963d5f"
 
     def test_write_failure_has_path_context(self, tmp_path):
         target = tmp_path / "blocked"
