@@ -21,9 +21,7 @@ from .spreading import (
 from .fec import (
     GolayCodecTables,
     codec_tables,
-    decode_block,
     decode_stream,
-    encode_block,
     encode_stream,
 )
 from .modem import SCHEMES, ModulationScheme, bits_per_symbol, demodulate, modulate

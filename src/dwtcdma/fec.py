@@ -1,24 +1,27 @@
-"""Binary (23,12) Golay block code: systematic cyclic encoding, perfect
-3-error correction, and stream framing.
+"""Binary (23,12) Golay block code: systematic cyclic encoding and
+perfect 3-error correction of bit streams.
 
-Two tables, built once from the remainder modulo g1(X), make the whole
-codec: a 4096-entry encode table (message -> codeword) and a 2048-entry
+The interface is bit streams (`encode_stream`, `decode_stream`), built
+on packed-word primitives (`encode_words`, `decode_words`, `syndromes`)
+and one read-only table pair, built once from the remainder modulo
+g1(X): a 4096-entry encode table (message -> codeword) and a 2048-entry
 syndrome table (syndrome -> the error pattern of weight <= 3 causing it).
 The code is systematic, so a received word's syndrome is its check bits
 XOR the encode table's check bits for its information bits.
+`verify_golay_invariants` checks the tables exhaustively.
 
 Bit/word conventions: a 12-bit message m maps to the polynomial
 m(X) = sum m[j] X^j, and a 23-bit codeword c to c(X) = sum c[j] X^j.
 The codeword layout is [11 check bits][12 information bits], i.e. the
 check bits occupy X^0..X^10 and the message occupies X^11..X^22.
-Packed-integer helpers put list index j at bit j.
+Packed words put stream index j at bit j.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +33,9 @@ CODE_RATE = K_MSG / N_CODE
 # Generator polynomials, bit j = coefficient of X^j.
 G1 = 0b110001110101  # 1 + X^2 + X^4 + X^5 + X^6 + X^10 + X^11
 G2 = 0b101011100011  # 1 + X + X^5 + X^6 + X^7 + X^9 + X^11
+
+# Number of codewords of each Hamming weight, which verify_golay_invariants checks.
+GOLAY_WEIGHTS = {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
 
 
 def _poly_mod_g1(values: np.ndarray) -> np.ndarray:
@@ -51,29 +57,15 @@ def _poly_mul(a: int, b: int) -> int:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class GolayCodecTables:
-    """The codec's two lookup tables.
+class GolayCodecTables(NamedTuple):
+    """The codec's two lookup tables, both read-only."""
 
-    encode_table maps each 12-bit message to its 23-bit codeword;
-    syndrome_table maps each of the 2048 syndromes to the unique error
-    pattern of weight <= 3 producing it.
-    """
-
-    encode_table: np.ndarray    # (4096,) uint32
-    syndrome_table: np.ndarray  # (2048,) uint32
-
-    def __post_init__(self):
-        for arr in (self.encode_table, self.syndrome_table):
-            arr.setflags(write=False)
+    encode_table: np.ndarray    # (4096,) uint32: message -> codeword
+    syndrome_table: np.ndarray  # (2048,) uint32: syndrome -> its pattern of weight <= 3
 
 
 @lru_cache(maxsize=1)
 def codec_tables() -> GolayCodecTables:
-    # (1+X) g1(X) g2(X) = X^23 + 1 over GF(2), checked once at build time.
-    if _poly_mul(_poly_mul(0b11, G1), G2) != (1 << N_CODE) | 1:
-        raise AssertionError("generator polynomials do not factor X^23 + 1")
-
     shifted = np.arange(1 << K_MSG, dtype=np.uint32) << N_CHECK
     encode_table = shifted | _poly_mod_g1(shifted)
 
@@ -88,6 +80,8 @@ def codec_tables() -> GolayCodecTables:
         raise AssertionError("two error patterns of weight <= 3 share a syndrome")
     syndrome_table = np.empty(1 << N_CHECK, dtype=np.uint32)
     syndrome_table[pattern_syndromes] = patterns
+    encode_table.setflags(write=False)
+    syndrome_table.setflags(write=False)
     return GolayCodecTables(encode_table, syndrome_table)
 
 
@@ -112,17 +106,13 @@ def encode_words(messages) -> np.ndarray:
     return codec_tables().encode_table[messages]
 
 
-def decode_words(words) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-codeword decode of packed 23-bit words.
-
-    Returns (messages, corrected) where corrected is the weight of the
-    error pattern removed from each word.  The code is perfect, so every
-    word decodes; more than 3 channel errors decode to a wrong codeword.
-    """
+def decode_words(words) -> np.ndarray:
+    """Nearest-codeword decode of packed 23-bit words to their 12-bit
+    messages.  The code is perfect, so every word decodes; more than 3
+    channel errors decode to a wrong codeword."""
     words = np.asarray(words, dtype=np.uint32)
     patterns = codec_tables().syndrome_table[syndromes(words)]
-    corrected = np.bitwise_count(patterns).astype(np.int64)
-    return ((words ^ patterns) >> N_CHECK).astype(np.uint32), corrected
+    return (words ^ patterns) >> N_CHECK
 
 
 def _pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -150,24 +140,6 @@ def _as_bits(bits) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def encode_block(message) -> np.ndarray:
-    """Encode exactly 12 message bits into a 23-bit codeword."""
-    m = _as_bits(message).ravel()
-    if m.size != K_MSG:
-        raise ValueError(f"message block must have {K_MSG} bits, got {m.size}")
-    word = encode_words(_pack_rows(m[None, :]))
-    return _unpack_words(word, N_CODE)[0]
-
-
-def decode_block(received) -> tuple[np.ndarray, int]:
-    """Decode 23 received bits to (12 message bits, corrected count)."""
-    r = _as_bits(received).ravel()
-    if r.size != N_CODE:
-        raise ValueError(f"received block must have {N_CODE} bits, got {r.size}")
-    msg, corrected = decode_words(_pack_rows(r[None, :]))
-    return _unpack_words(msg, K_MSG)[0], int(corrected[0])
-
-
 def encode_stream(bits) -> tuple[np.ndarray, int]:
     """Encode an arbitrary-length bit stream blockwise.
 
@@ -178,8 +150,6 @@ def encode_stream(bits) -> tuple[np.ndarray, int]:
     """
     data = _as_bits(bits)
     lead, original_length = data.shape[:-1], data.shape[-1]
-    if original_length == 0:
-        return np.zeros(lead + (0,), dtype=np.uint8), 0
     pad = (-original_length) % K_MSG
     padded = np.concatenate([data, np.zeros(lead + (pad,), dtype=np.uint8)], axis=-1)
     words = encode_words(_pack_rows(padded.reshape(-1, K_MSG)))
@@ -193,55 +163,45 @@ def decode_stream(bits, original_length: int) -> np.ndarray:
     lead, length = data.shape[:-1], data.shape[-1]
     if length % N_CODE:
         raise ValueError(f"coded stream length {length} is not a multiple of {N_CODE}")
-    n_blocks = length // N_CODE
-    if original_length > K_MSG * n_blocks or original_length < 0:
+    if not 0 <= original_length <= K_MSG * (length // N_CODE):
         raise ValueError(f"original_length {original_length} exceeds stream capacity")
-    if length == 0:
-        return np.zeros(lead + (0,), dtype=np.uint8)
-    msgs, _ = decode_words(_pack_rows(data.reshape(-1, N_CODE)))
+    msgs = decode_words(_pack_rows(data.reshape(-1, N_CODE)))
     return _unpack_words(msgs, K_MSG).reshape(lead + (-1,))[..., :original_length]
 
 
-def verify_golay_invariants() -> dict[str, int | bool]:
-    """Exhaustive codec checks; used by the `fec verify` CLI command.
+def verify_golay_invariants() -> list[tuple[str, bool, str]]:
+    """Exhaustive codec checks; returns (name, ok, detail) rows, as
+    spreading.verify_spreading_invariants does.
 
     Covers: all 4096 codewords x all 2048 weight<=3 patterns decode back
-    to their message, cyclic-shift and complement closure, the generator
-    factorization of X^23 + 1, and the codeword weight distribution.
+    to their message, each syndrome maps to a pattern of weight <= 3
+    that has that syndrome, cyclic-shift and complement closure, the
+    generator factorization of X^23 + 1, and the codeword weight
+    distribution.
     """
-    tables = codec_tables()
-    codewords = tables.encode_table
+    codewords, syndrome_table = codec_tables()
     msgs = np.arange(1 << K_MSG, dtype=np.uint32)
+    failures = sum(int(np.count_nonzero(decode_words(codewords ^ pattern) != msgs))
+                   for pattern in syndrome_table)
+    placed = int(np.count_nonzero(syndromes(syndrome_table) == np.arange(1 << N_CHECK)))
+    heaviest = int(np.bitwise_count(syndrome_table).max())
 
-    patterns = np.unique(tables.syndrome_table)
-    if patterns.size != 1 << N_CHECK:
-        raise AssertionError("syndrome table patterns are not distinct")
+    # Every rotation by k = 1..22 places of every codeword.
+    k = np.arange(1, N_CODE, dtype=np.uint32)[:, None]
+    rotated = ((codewords << k) | (codewords >> (N_CODE - k))) & ((1 << N_CODE) - 1)
 
-    failures = 0
-    for pattern in tables.syndrome_table:
-        decoded, _ = decode_words(codewords ^ pattern)
-        failures += int(np.count_nonzero(decoded != msgs))
-
-    shifted_ok = True
-    low_mask = (1 << (N_CODE - 1)) - 1
-    shifted = codewords.copy()
-    for _ in range(N_CODE - 1):
-        shifted = ((shifted & low_mask) << 1) | (shifted >> (N_CODE - 1))
-        if syndromes(shifted).any():
-            shifted_ok = False
-            break
-
-    complement_ok = not syndromes(codewords ^ ((1 << N_CODE) - 1)).any()
-
-    weights = np.bitwise_count(codewords)
-    distribution = {int(w): int(c) for w, c in zip(*np.unique(weights, return_counts=True))}
-
-    return {
-        "cases": int(codewords.size) * int(tables.syndrome_table.size),
-        "decode_failures": failures,
-        "cyclic_invariance": shifted_ok,
-        "complement_invariance": complement_ok,
-        "factorization": _poly_mul(_poly_mul(0b11, G1), G2) == (1 << N_CODE) | 1,
-        "weight_distribution": distribution,
-        "min_nonzero_weight": int(weights[1:].min()) if weights.size > 1 else 0,
-    }
+    weights, counts = np.unique(np.bitwise_count(codewords), return_counts=True)
+    distribution = dict(zip(weights.tolist(), counts.tolist()))
+    return [
+        ("decode", failures == 0,
+         f"{failures} failures in {codewords.size * syndrome_table.size} cases"),
+        ("syndrome table", placed == syndrome_table.size and heaviest <= 3,
+         f"{placed} of {syndrome_table.size} patterns at their syndrome, max weight {heaviest}"),
+        ("cyclic closure", not syndromes(rotated).any(), "every shift of a codeword is a codeword"),
+        ("complement closure", not syndromes(codewords ^ ((1 << N_CODE) - 1)).any(),
+         "every complement of a codeword is a codeword"),
+        ("factorization", _poly_mul(_poly_mul(0b11, G1), G2) == (1 << N_CODE) | 1,
+         "(1+X) g1(X) g2(X) = X^23 + 1"),
+        ("weight distribution", distribution == GOLAY_WEIGHTS,
+         " ".join(f"{w}:{c}" for w, c in distribution.items())),
+    ]

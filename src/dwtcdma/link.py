@@ -52,6 +52,8 @@ imaginary parts.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +78,7 @@ class LinkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", get_scheme(self.scheme))
-        if not np.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        _noise_density(self.snr_db, 1.0)
         sf = self.spreading.spreading_factor
         if isinstance(self.num_users, bool) or not isinstance(self.num_users, (int, np.integer)):
             raise ValueError(f"num_users must be an integer, got {self.num_users!r}")
@@ -179,6 +180,17 @@ def channel_operators(spreading: SpreadingMatrix,
     return _OPERATORS[key]
 
 
+def _noise_density(snr_db: float, eb: float) -> float:
+    """N0 = eb * 10^(-snr_db/10).  A ValueError names snr_db when it is
+    not finite or so low that N0 overflows."""
+    with contextlib.suppress(OverflowError):
+        n0 = eb * 10.0 ** (-float(snr_db) / 10.0)
+        if math.isfinite(snr_db) and math.isfinite(n0):
+            return n0
+    raise ValueError(f"snr_db must be finite and not so low that the noise overflows, "
+                     f"got {snr_db}")
+
+
 def noise_sigma_for(snr_db: float, config: LinkConfig, mean_symbol_energy: float) -> float:
     """Per-dimension noise standard deviation for a requested Eb/N0.
 
@@ -186,14 +198,11 @@ def noise_sigma_for(snr_db: float, config: LinkConfig, mean_symbol_energy: float
     R = 12/23 when coded and 1 otherwise; N0 = Eb * 10^(-snr_db/10);
     sigma = sqrt(N0/2) for each real dimension of each time-domain sample.
     """
-    if not np.isfinite(snr_db):
-        raise ValueError("snr_db must be finite")
     if mean_symbol_energy <= 0:
         raise ValueError(f"mean symbol energy must be positive, got {mean_symbol_energy}")
     rate = fec.CODE_RATE if config.coded else 1.0
     eb = mean_symbol_energy / (config.scheme.bits_per_symbol * rate)
-    n0 = eb * 10.0 ** (-snr_db / 10.0)
-    return float(np.sqrt(n0 / 2.0))
+    return float(np.sqrt(_noise_density(snr_db, eb) / 2.0))
 
 
 def _noise(shape, sigma: float, rng: np.random.Generator, dims: int = 2) -> np.ndarray:

@@ -105,19 +105,13 @@ class SimConfig:
                 # A repeated value would run one point twice under one seed.
                 raise ValueError(f"sweep axis {name} has duplicate values: {value}")
             object.__setattr__(self, name, value)
-        for name in ("spreading_factor", "levels", "min_bit_errors", "max_info_bits",
-                     "master_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("spreading_factor", "levels", "master_seed"):
+            _check_integer(name, getattr(self, name))
         if not isinstance(self.total_power, bool):
             raise ValueError(f"total_power must be a bool, got {self.total_power!r}")
         if not all(isinstance(flag, bool) for flag in self.coded_flags):
             raise ValueError(f"coded_flags must hold bools, got {self.coded_flags}")
-        if self.min_bit_errors < 1:
-            raise ValueError("min_bit_errors must be >= 1")
-        if self.max_info_bits < 12:
-            raise ValueError("max_info_bits must cover at least one block")
+        _check_stop_rule(self.min_bit_errors, self.max_info_bits)
         # Build every point's link up front, so that an invalid grid (a
         # non-finite SNR, more users than code rows) fails before any point runs.
         for point in self.points():
@@ -142,6 +136,21 @@ def _as_snr(value) -> float:
         with contextlib.suppress(TypeError, ValueError):
             return float(value)
     raise ValueError(f"snr_db must hold numbers, got {value!r}")
+
+
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_stop_rule(min_bit_errors, max_info_bits) -> None:
+    """The stop rule that SimConfig and run_point accept: at least one
+    error and one block of bits, as integers."""
+    for name, value, least in (("min_bit_errors", min_bit_errors, 1),
+                               ("max_info_bits", max_info_bits, fec.K_MSG)):
+        _check_integer(name, value)
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def point_seed(master_seed: int, point: PointSpec) -> int:
@@ -181,8 +190,10 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
     target is met or the bit budget is exhausted.
 
     bits_sent stays below max_info_bits + num_users: the last chunk is
-    cut to the bits the budget has left.
+    cut to the bits the budget has left.  The stop rule must pass the
+    check that SimConfig makes, or a ValueError is raised.
     """
+    _check_stop_rule(min_bit_errors, max_info_bits)
     started = time.perf_counter()
     config = link_config_for(point)
     rng = np.random.Generator(np.random.SFC64(seed))
@@ -202,7 +213,7 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
         _, errors = run_link_once(payload, config, rng)
         bit_errors += errors
         bits_sent += payload.size
-    ber = bit_errors / bits_sent if bits_sent else 0.0
+    ber = bit_errors / bits_sent
     return BerRecord(point.snr_db, point.scheme, point.family, point.wavelet,
                      point.coded, point.users, bits_sent, bit_errors, ber,
                      seed, time.perf_counter() - started)
@@ -280,7 +291,8 @@ def theoretical_ber(scheme, ebn0_db: float) -> float:
     from 29.5 dB on).
     """
     name = get_scheme(scheme).name
-    gamma = 10.0 ** (ebn0_db / 10.0)
+    # Every curve is 0 long before the cap, which keeps the power finite.
+    gamma = 10.0 ** min(ebn0_db / 10.0, 300.0)
     if name in ("bpsk", "qpsk"):
         return 0.5 * math.erfc(math.sqrt(gamma))
     if name == "dbpsk":

@@ -61,21 +61,14 @@ class TestGolayCode:
         """All 4096 codewords x 2048 correctable patterns decode exactly;
         cyclic/complement closure; generator factorization; weight tally."""
         started = time.perf_counter()
-        result = fec.verify_golay_invariants()
+        rows = fec.verify_golay_invariants()
         elapsed = time.perf_counter() - started
-        expected_weights = {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
-        ok = (
-            result["cases"] == 4096 * 2048
-            and result["decode_failures"] == 0
-            and result["cyclic_invariance"]
-            and result["complement_invariance"]
-            and result["factorization"]
-            and result["weight_distribution"] == expected_weights
-            and result["min_nonzero_weight"] == 7
-            and elapsed < 60.0
-        )
+        failed = [name for name, ok, _ in rows if not ok]
+        decode_detail = {name: detail for name, _, detail in rows}["decode"]
+        ok = (not failed and len(rows) == 6 and decode_detail.endswith(" 8388608 cases")
+              and elapsed < 60.0)
         report("golay-perfect-code", ok,
-               f"{result['cases']} cases, {result['decode_failures']} failures, {elapsed:.1f}s")
+               f"{len(rows)} checks, failed {failed}, {decode_detail}, {elapsed:.1f}s")
 
 
 class TestTheoryAnchor:

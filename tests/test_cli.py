@@ -1,9 +1,10 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
-from dwtcdma import sim
+from dwtcdma import fec, sim, spreading
 from dwtcdma.cli import _parse_float_axis, build_parser, main
 
 
@@ -31,13 +32,40 @@ class TestCodesCommands:
         assert "FAIL" not in out
         assert "gold cross-correlation" in out
 
+    def test_check_fails_on_a_broken_row(self, capsys, monkeypatch):
+        def broken(family, n):
+            rows = spreading.walsh_hadamard(n).rows.copy()
+            rows[1, 0] *= -1
+            return spreading.SpreadingMatrix(family, n, rows)
+
+        monkeypatch.setattr(spreading, "build_matrix", broken)
+        assert main(["codes", "check"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL gram wh N=8: wh rows are not mutually orthogonal" in out
+        assert "ok   complementary pair sums N=8" in out
+
 
 class TestFecCommand:
     def test_verify_passes(self, capsys):
         assert main(["fec", "verify"]) == 0
         out = capsys.readouterr().out
-        assert "decode_failures: 0" in out
-        assert "all checks passed" in out
+        assert "FAIL" not in out
+        assert "ok   decode: 0 failures in 8388608 cases" in out
+        assert "ok   weight distribution: 0:1 7:253 8:506 11:1288" in out
+
+    def test_verify_fails_on_a_corrupted_syndrome_table(self, capsys, monkeypatch):
+        encode_table, syndrome_table = fec.codec_tables()
+        # Swap the entries of two single information-bit errors.
+        swap = fec.syndromes([1 << 21, 1 << 22])
+        corrupted = syndrome_table.copy()
+        corrupted[swap] = corrupted[swap[::-1]]
+        monkeypatch.setattr(fec, "codec_tables", lambda: fec.GolayCodecTables(encode_table,
+                                                                             corrupted))
+        assert main(["fec", "verify"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL decode: 8192 failures in 8388608 cases" in out
+        assert "FAIL syndrome table: 2046 of 2048 patterns at their syndrome" in out
+        assert "ok   weight distribution" in out
 
 
 class TestSweepCommand:
@@ -182,6 +210,7 @@ class TestAxisParsing:
         ("--users", "1,9", "num_users"),
         ("--snr", "0,0", "duplicate"),
         ("--scheme", "bpsk,BPSK", "duplicate"),
+        ("--snr", "-4000", "snr_db must be finite and not so low"),
     ])
     def test_invalid_grid_fails_before_first_point(self, tmp_path, capsys, monkeypatch,
                                                    flag, value, message):

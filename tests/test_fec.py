@@ -6,9 +6,7 @@ from dwtcdma.fec import (
     G1,
     G2,
     codec_tables,
-    decode_block,
     decode_stream,
-    encode_block,
     encode_stream,
     encode_words,
     decode_words,
@@ -16,6 +14,11 @@ from dwtcdma.fec import (
 )
 
 GOLAY_WEIGHTS = {0: 1, 7: 253, 8: 506, 11: 1288, 12: 1288, 15: 506, 16: 253, 23: 1}
+
+
+def pack(bits):
+    """Bits as one packed word, bit j at bit j."""
+    return sum(int(bit) << j for j, bit in enumerate(bits))
 
 
 def reference_encode(message_bits):
@@ -42,18 +45,18 @@ def reference_remainder(words):
 
 class TestEncode:
     def test_all_zero_message(self):
-        assert encode_block([0] * 12).tolist() == [0] * 23
+        assert encode_stream([0] * 12)[0].tolist() == [0] * 23
 
     def test_matches_reference_polynomial_division(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
             msg = rng.integers(0, 2, 12)
-            assert encode_block(msg).tolist() == reference_encode(msg)
+            assert encode_stream(msg)[0].tolist() == reference_encode(msg)
 
     def test_layout_check_then_info(self):
         msg = np.zeros(12, dtype=np.uint8)
         msg[0] = 1
-        cw = encode_block(msg)
+        cw, _ = encode_stream(msg)
         assert cw[11:].tolist() == msg.tolist()
 
     def test_weight_distribution_exhaustive(self):
@@ -66,43 +69,43 @@ class TestEncode:
 
         assert sum(comb(23, k) for k in range(4)) == 2048 == 2 ** (23 - 12)
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            encode_block([0] * 11)
-
 
 class TestDecode:
     def test_clean_codeword(self):
         msg = np.array([1, 0, 0, 1, 1, 1, 0, 1, 0, 0, 1, 0], dtype=np.uint8)
-        decoded, corrected = decode_block(encode_block(msg))
-        assert decoded.tolist() == msg.tolist()
-        assert corrected == 0
+        coded, n = encode_stream(msg)
+        assert decode_stream(coded, n).tolist() == msg.tolist()
+        decoded = decode_words([pack(coded)])
+        assert np.bitwise_count(encode_words(decoded) ^ pack(coded))[0] == 0
 
     def test_three_flips_example(self):
         msg = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 1], dtype=np.uint8)
-        received = encode_block(msg)
+        received, n = encode_stream(msg)
         received[[0, 7, 22]] ^= 1
-        decoded, corrected = decode_block(received)
-        assert decoded.tolist() == msg.tolist()
-        assert corrected == 3
+        assert decode_stream(received, n).tolist() == msg.tolist()
+        # The same word packed: the decoder removes 3 bits.
+        decoded = decode_words([pack(received)])
+        assert decoded[0] == pack(msg)
+        assert np.bitwise_count(encode_words(decoded) ^ pack(received))[0] == 3
 
     def test_random_sample_of_correctable_patterns(self):
         rng = np.random.default_rng(21)
         tables = codec_tables()
         msgs = rng.integers(0, 4096, size=5000).astype(np.uint32)
         patterns = tables.syndrome_table[rng.integers(0, 2048, size=5000)]
-        decoded, corrected = decode_words(encode_words(msgs) ^ patterns)
+        received = encode_words(msgs) ^ patterns
+        decoded = decode_words(received)
         assert np.array_equal(decoded, msgs)
-        assert np.array_equal(corrected, np.bitwise_count(patterns))
+        assert np.array_equal(np.bitwise_count(encode_words(decoded) ^ received),
+                              np.bitwise_count(patterns))
 
     def test_every_word_decodes_within_distance_three(self):
         rng = np.random.default_rng(22)
         words = rng.integers(0, 1 << 23, size=2000).astype(np.uint32)
-        decoded, corrected = decode_words(words)
-        assert corrected.max() <= 3
-        recoded = encode_words(decoded)
-        distance = np.bitwise_count(recoded ^ words)
-        assert np.array_equal(distance, corrected)
+        distance = np.bitwise_count(encode_words(decode_words(words)) ^ words)
+        assert distance.max() <= 3
+        patterns = codec_tables().syndrome_table[syndromes(words)]
+        assert np.array_equal(distance, np.bitwise_count(patterns))
 
     def test_syndromes_are_remainders_mod_g1_for_every_word(self):
         step = 1 << 20
@@ -147,6 +150,13 @@ class TestInvariants:
         words = encode_words(np.arange(1, 4096, dtype=np.uint32))
         assert int(np.bitwise_count(words).min()) == 7
 
+    def test_tables_are_a_read_only_pair(self):
+        encode_table, syndrome_table = codec_tables()
+        assert encode_table.shape == (4096,) and syndrome_table.shape == (2048,)
+        for table in (encode_table, syndrome_table):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
     def test_syndrome_table_is_a_bijection(self):
         table = codec_tables().syndrome_table
         assert np.unique(table).size == 2048
@@ -172,7 +182,7 @@ class TestStreams:
     @pytest.mark.parametrize("bits", [[256] + [0] * 11, [0] * 11 + [-1], [0.5] + [0] * 11])
     def test_rejects_values_outside_bits(self, bits):
         # Checked before the cast to uint8, under which 256 would encode a 0.
-        for func in (encode_block, lambda b: encode_stream(b)[0],
+        for func in (lambda b: encode_stream(b)[0],
                      lambda b: decode_stream(np.concatenate([b, np.zeros(11, int)]), 12)):
             with pytest.raises(ValueError, match="0 or 1"):
                 func(np.array(bits))

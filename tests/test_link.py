@@ -101,6 +101,14 @@ class TestNoiseSigma:
         with pytest.raises(ValueError):
             noise_sigma_for(float("inf"), config(), 1.0)
 
+    def test_rejects_snr_whose_noise_overflows(self):
+        # 10^308.1 is a float, but not 23/12 times it.
+        assert noise_sigma_for(-3081.0, config(coded=False), 1.0) > 1e153
+        with pytest.raises(ValueError, match="snr_db must be finite and not so low"):
+            noise_sigma_for(-3081.0, config(coded=True), 1.0)
+        with pytest.raises(ValueError, match="snr_db must be finite and not so low"):
+            config(snr_db=-4000.0)
+
 
 class TestApplyAwgn:
     def test_zero_sigma_identity(self):

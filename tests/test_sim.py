@@ -78,6 +78,19 @@ class TestRunPoint:
         expected = BerRecord(*point[:6], 3003, errors, errors / 3003, seed)
         assert run_point(point, 10**6, 3003, seed) == expected
 
+    @pytest.mark.parametrize("min_errors, max_bits, message", [
+        (0, 4000, "min_bit_errors must be at least 1"),
+        (4, 0, "max_info_bits must be at least 12"),
+        (4, 1.5, "max_info_bits must be an integer"),
+        (True, 4000, "min_bit_errors must be an integer"),
+    ])
+    def test_stop_rule_checked_as_in_sim_config(self, min_errors, max_bits, message):
+        point = PointSpec(0.0, "bpsk", "wh", "haar", False, 7)
+        with pytest.raises(ValueError, match=message):
+            run_point(point, min_errors, max_bits)
+        with pytest.raises(ValueError, match=message):
+            SimConfig(min_bit_errors=min_errors, max_info_bits=max_bits)
+
     def test_gold_sf16_rejected(self):
         with pytest.raises(ValueError, match="degree 4"):
             run_point(PointSpec(0.0, "bpsk", "gold", "haar", False, 7, 16), 1, 100, 0)
@@ -164,6 +177,7 @@ class TestRunSweep:
         ({"levels": 3.0}, "levels must be an integer"),
         ({"snr_db": ("5", "5.0")}, "snr_db has duplicate values"),
         ({"snr_db": (True,)}, "snr_db must hold numbers"),
+        ({"snr_db": (0.0, -4000.0)}, "snr_db must be finite and not so low"),
     ])
     def test_invalid_grid_fails_before_first_point(self, axes, message, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -232,6 +246,12 @@ class TestTheory:
     ])
     def test_dqpsk_reference_values(self, snr, expected):
         assert theoretical_ber("dqpsk", snr) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
+    def test_extreme_snrs(self, scheme):
+        # 10^400 overflows a float; the curves are 0 long before that.
+        assert theoretical_ber(scheme, 4000.0) == 0.0
+        assert theoretical_ber(scheme, -4000.0) == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
     def test_nonnegative_and_nonincreasing(self, scheme):
