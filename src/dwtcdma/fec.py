@@ -153,7 +153,8 @@ def encode_stream(bits) -> tuple[np.ndarray, int]:
     pad = (-original_length) % K_MSG
     padded = np.concatenate([data, np.zeros(lead + (pad,), dtype=np.uint8)], axis=-1)
     words = encode_words(_pack_rows(padded.reshape(-1, K_MSG)))
-    return _unpack_words(words, N_CODE).reshape(lead + (-1,)), original_length
+    coded_length = N_CODE * (padded.shape[-1] // K_MSG)
+    return _unpack_words(words, N_CODE).reshape(lead + (coded_length,)), original_length
 
 
 def decode_stream(bits, original_length: int) -> np.ndarray:
@@ -166,7 +167,8 @@ def decode_stream(bits, original_length: int) -> np.ndarray:
     if not 0 <= original_length <= K_MSG * (length // N_CODE):
         raise ValueError(f"original_length {original_length} exceeds stream capacity")
     msgs = decode_words(_pack_rows(data.reshape(-1, N_CODE)))
-    return _unpack_words(msgs, K_MSG).reshape(lead + (-1,))[..., :original_length]
+    decoded_length = K_MSG * (length // N_CODE)
+    return _unpack_words(msgs, K_MSG).reshape(lead + (decoded_length,))[..., :original_length]
 
 
 def verify_golay_invariants() -> list[tuple[str, bool, str]]:

@@ -35,6 +35,8 @@ constant sets sigma.  For the orthonormal wavelets the energies are 1
 and C is the identity; channel_operators decides that once from the
 operator, and the link then uses sigma z itself, with no product.
 (energies, C) is built once per (code rows, wavelet) and cached by value.
+sigma and C_w are constants of the link: LinkConfig computes them once,
+when it is built, and every chunk reads them.
 
 Only the noise the detector reads is drawn.  modulate returns the real
 dimensions (rails) its decision reads: one for BPSK, whose coherent
@@ -54,7 +56,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,7 +69,13 @@ from .wavelet import WaveletSpec, dwt_forward, dwt_inverse
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """One experiment point of the transceiver."""
+    """One experiment point of the transceiver.
+
+    noise_sigma and noise_factor, the per-dimension noise std and the
+    leading w x w block C_w of C (None where C is the identity), are
+    constants of the link, computed once here; building the config
+    therefore fails on an SNR whose noise overflows at this link's Eb.
+    """
 
     spreading: SpreadingMatrix
     wavelet: WaveletSpec
@@ -75,10 +84,11 @@ class LinkConfig:
     coded: bool = False
     snr_db: float = 0.0
     total_power: bool = False
+    noise_sigma: float = field(init=False, repr=False, compare=False)
+    noise_factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", get_scheme(self.scheme))
-        _noise_density(self.snr_db, 1.0)
         sf = self.spreading.spreading_factor
         if isinstance(self.num_users, bool) or not isinstance(self.num_users, (int, np.integer)):
             raise ValueError(f"num_users must be an integer, got {self.num_users!r}")
@@ -88,6 +98,13 @@ class LinkConfig:
             raise ValueError(
                 f"block size {self.wavelet.block_size} not divisible by spreading factor {sf}"
             )
+        width = self.num_users * self.symbols_per_block
+        energies, factor = channel_operators(self.spreading, self.wavelet)
+        sigma = noise_sigma_for(self.snr_db, self, float(np.mean(energies[:width])))
+        object.__setattr__(self, "noise_sigma", sigma)
+        if factor is not None:
+            factor = factor[:width, :width]
+        object.__setattr__(self, "noise_factor", factor)
 
     @property
     def symbols_per_block(self) -> int:
@@ -205,17 +222,70 @@ def noise_sigma_for(snr_db: float, config: LinkConfig, mean_symbol_energy: float
     return float(np.sqrt(_noise_density(snr_db, eb) / 2.0))
 
 
-def _noise(shape, sigma: float, rng: np.random.Generator, dims: int = 2) -> np.ndarray:
+def _noise(shape, sigma: float, rng: np.random.Generator, dims: int = 2,
+           out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian noise of std sigma as a real (dims, *shape) array: [0] holds
     the real parts and [1], if dims is 2, the imaginary parts, drawn in
-    that order in one call.  sigma == 0 draws nothing."""
+    that order in one call, into out if it is given.  sigma == 0 draws
+    nothing."""
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
+    noise = np.empty((dims, *shape)) if out is None else out
     if sigma == 0:
-        return np.zeros((dims, *shape))
-    noise = rng.standard_normal((dims, *shape))
+        noise.fill(0.0)
+        return noise
+    rng.standard_normal(out=noise)
     noise *= sigma
     return noise
+
+
+# Scratch memory of run_link_once, one pair of arrays per thread (see _scratch).
+_SCRATCH = threading.local()
+
+
+def _scratch(shape) -> tuple[np.ndarray, np.ndarray]:
+    """Two float64 arrays of the given shape, prefixes of this thread's
+    scratch arrays, which grow on demand and are never freed.
+
+    A chunk's noise and received symbols are its largest arrays.  Arrays
+    of that size, freed after each chunk or each point, go back to the
+    OS and page-fault on fresh memory when allocated again; differential
+    chunks spent a third of their time in the kernel that way.  Each
+    chunk fills the prefix it uses before reading it, so no value passes
+    from one chunk to the next.
+    """
+    size = math.prod(shape)
+    arrays = getattr(_SCRATCH, "arrays", None)
+    if arrays is None or arrays[0].size < size:
+        arrays = _SCRATCH.arrays = (np.empty(size), np.empty(size))
+    return arrays[0][:size].reshape(shape), arrays[1][:size].reshape(shape)
+
+
+def _receive(symbols: np.ndarray, config: LinkConfig, rng: np.random.Generator) -> np.ndarray:
+    """The despread symbols of a chunk: symbols (U, blocks*G) plus the
+    link's noise, in scratch memory.
+
+    The noise is one draw of one value per rail of each despread symbol
+    (see the module docstring), coloured by C_w unless channel_operators
+    found C to be the identity.  The sum goes to the scratch array the
+    noise does not occupy, so the symbols are freed before detection.
+    """
+    n_users, n_symbols = symbols.shape
+    group = config.symbols_per_block
+    n_blocks = n_symbols // group
+    # The symbols' rails as a (dims, U, blocks, G) view; slot k*G + g of
+    # block b of the noise belongs to user k's symbol b*G + g.
+    rails = symbols.view(np.float64).reshape(n_users, n_blocks, group, -1).transpose(3, 0, 1, 2)
+    dims = len(rails)
+    drawn, free = _scratch((dims, n_blocks, n_users * group))
+    noise = _noise(drawn.shape[1:], config.noise_sigma, rng, dims, out=drawn)
+    if config.noise_factor is not None:
+        # Once coloured, the draw is spent and its array takes the sum.
+        noise, free = np.matmul(drawn, config.noise_factor, out=free), drawn
+    received = free.reshape(n_users, n_blocks, group, dims)
+    np.add(rails, noise.reshape(dims, n_blocks, n_users, group).transpose(0, 2, 1, 3),
+           out=received.transpose(3, 0, 1, 2))
+    return received.reshape(n_users, -1).view(symbols.dtype)
 
 
 def apply_awgn(signal, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -232,10 +302,8 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     data.  Returns (decoded bits of the same shape, total bit errors).
     The coded bits are padded with zeros to whole blocks of symbols and
     the padding is stripped after detection; trailing symbols cannot
-    change an earlier decision, differential ones included.  The chunk
-    draws one noise value per rail of each despread symbol (see the
-    module docstring), colours them by C_w unless channel_operators
-    found C to be the identity, and adds them to the symbols in place.
+    change an earlier decision, differential ones included.  The noise
+    and the received symbols live in scratch memory (see _receive).
     """
     bits = np.asarray(info_bits)  # not cast: encode_stream or _as_bits checks the values
     if bits.ndim != 2 or bits.shape[0] != config.num_users or bits.shape[1] == 0:
@@ -252,20 +320,10 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     padded[:, :n_coded] = tx_bits
     symbols = modulate(padded, scheme)
     if config.total_power:
-        symbols = symbols / np.sqrt(n_users)
-
-    width = n_users * group
-    energies, factor = channel_operators(config.spreading, config.wavelet)
-    sigma = noise_sigma_for(config.snr_db, config, float(np.mean(energies[:width])))
-    # The symbols' rails as a (dims, U, blocks, G) view; slot k*G + g of
-    # block b of the noise belongs to user k's symbol b*G + g.
-    rails = np.moveaxis(symbols.view(np.float64).reshape(n_users, n_blocks, group, -1), -1, 0)
-    dims = len(rails)
-    noise = _noise((n_blocks, width), sigma, rng, dims)
-    if factor is not None:
-        noise = noise @ factor[:width, :width]
-    rails += noise.reshape(dims, n_blocks, n_users, group).transpose(0, 2, 1, 3)
-    hard = demodulate(symbols, scheme)[:, :n_coded]
+        symbols /= np.sqrt(n_users)
+    received = _receive(symbols, config, rng)
+    del symbols  # freed before detection (see _receive)
+    hard = demodulate(received, scheme)[:, :n_coded]
     decoded = fec.decode_stream(hard, n_info) if config.coded else hard
     errors = int(np.count_nonzero(decoded != bits))
     return decoded, errors

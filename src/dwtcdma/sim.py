@@ -14,7 +14,6 @@ unpacked most significant first, and then the channel noise.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import hashlib
 import math
@@ -248,7 +247,9 @@ def _worker_pool(jobs: int):
     set in os.environ only while the pool lives, because spawned children
     inherit the environment when they start, and are removed afterwards.
     """
-    import multiprocessing  # only parallel sweeps pay for its import
+    # Only parallel sweeps pay for these imports.
+    import concurrent.futures
+    import multiprocessing
 
     added = [name for name in _THREAD_CAP_VARS if name not in os.environ]
     os.environ.update(dict.fromkeys(added, "1"))

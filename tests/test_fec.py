@@ -179,6 +179,11 @@ class TestStreams:
         assert coded.size == 0 and n == 0
         assert decode_stream([], 0).size == 0
 
+    def test_zero_rows_keep_their_row_length(self):
+        coded, n = encode_stream(np.zeros((0, 5), np.uint8))
+        assert coded.shape == (0, 23) and n == 5
+        assert decode_stream(np.zeros((0, 23), np.uint8), 5).shape == (0, 5)
+
     @pytest.mark.parametrize("bits", [[256] + [0] * 11, [0] * 11 + [-1], [0.5] + [0] * 11])
     def test_rejects_values_outside_bits(self, bits):
         # Checked before the cast to uint8, under which 256 would encode a 0.

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,26 @@ class TestNoiseSigma:
             noise_sigma_for(-3081.0, config(coded=True), 1.0)
         with pytest.raises(ValueError, match="snr_db must be finite and not so low"):
             config(snr_db=-4000.0)
+
+    def test_link_constants_computed_from_operator(self):
+        # sigma and C_w are read by every chunk; they are the values the
+        # chunk would compute from channel_operators.
+        for wavelet in ("haar", "bior22"):
+            cfg = config(wavelet=wavelet, users=5, coded=True, snr_db=4.0, scheme="dqpsk")
+            energies, factor = channel_operators(cfg.spreading, cfg.wavelet)
+            width = 5 * cfg.symbols_per_block
+            assert cfg.noise_sigma == noise_sigma_for(4.0, cfg, float(np.mean(energies[:width])))
+            if factor is None:
+                assert cfg.noise_factor is None
+            else:
+                assert np.array_equal(cfg.noise_factor, factor[:width, :width])
+
+    def test_overflow_checked_at_the_links_own_eb(self):
+        # 10^308.25 is a float: haar's Eb of 1 passes, bior22's mean symbol
+        # energy of 1.12 (7 wh users) does not.
+        assert config(snr_db=-3082.5).noise_sigma > 1e153
+        with pytest.raises(ValueError, match="snr_db must be finite and not so low"):
+            config(snr_db=-3082.5, wavelet="bior22")
 
 
 class TestApplyAwgn:
@@ -247,6 +269,23 @@ class TestRunLinkOnce:
         d1, e1 = run_link_once(bits, cfg, np.random.default_rng(14))
         d2, e2 = run_link_once(bits, cfg, np.random.default_rng(14))
         assert e1 == e2 and np.array_equal(d1, d2)
+
+    @pytest.mark.parametrize("wavelet", ["haar", "bior22"])
+    @pytest.mark.parametrize("scheme", ["bpsk", "dbpsk", "dqpsk"])
+    def test_scratch_memory_carries_nothing_between_chunks(self, scheme, wavelet, monkeypatch):
+        # The noise and the received symbols reuse scratch memory: a short
+        # chunk after a long one gives what it gives in fresh memory.
+        cfg = config(wavelet=wavelet, scheme=scheme, coded=True, snr_db=2.0)
+        rng = np.random.default_rng(19)
+        long, short = (rng.integers(0, 2, (7, n), dtype=np.uint8) for n in (600, 48))
+        run_link_once(long, cfg, np.random.default_rng(20))
+        scratch = link._scratch((1,))[0].base
+        decoded, errors = run_link_once(short, cfg, np.random.default_rng(21))
+        assert link._scratch((1,))[0].base is scratch
+        monkeypatch.setattr(link, "_SCRATCH", threading.local())
+        expected, expected_errors = run_link_once(short, cfg, np.random.default_rng(21))
+        assert link._scratch((1,))[0].base is not scratch
+        assert errors == expected_errors > 0 and np.array_equal(decoded, expected)
 
     @pytest.mark.parametrize("users", [1, 3, 7])
     @pytest.mark.parametrize("wavelet", ["haar", "bior22"])

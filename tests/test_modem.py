@@ -151,6 +151,47 @@ class TestEnergyAndRotation:
         assert np.array_equal(demodulate(rotated, name), bits)
 
 
+def angle_decisions(symbols, name):
+    """Differential decisions from the rounded angle of r[n] conj(r[n-1]),
+    the reference for the sign tests of demodulate."""
+    r = np.atleast_2d(np.asarray(symbols, dtype=np.complex128))
+    ref = 1.0 if name == "dbpsk" else (1 + 1j) / np.sqrt(2)
+    prev = np.concatenate([np.full((len(r), 1), ref), r[:, :-1]], axis=1)
+    products = r * np.conj(prev)
+    if name == "dbpsk":
+        return (products.real < 0).astype(np.uint8)
+    turns = np.round(np.angle(products) / (np.pi / 2)).astype(np.int64) % 4
+    gray = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)  # turn -> (b0, b1)
+    return gray[turns].reshape(len(r), -1)
+
+
+class TestSignTestDetector:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name", ["dbpsk", "dqpsk"])
+    def test_noisy_rows_match_rounded_angle(self, name, seed):
+        rng = np.random.default_rng(seed)
+        bps = SCHEMES[name].bits_per_symbol
+        for rows in range(1, 8):
+            for length in (1, 2, 3, 64, 1000):
+                bits = rng.integers(0, 2, (rows, length * bps))
+                noise = rng.standard_normal((2, rows, length))
+                noisy = modulate(bits, name) + 0.8 * (noise[0] + 1j * noise[1])
+                decided = demodulate(noisy, name)
+                assert decided.shape == bits.shape and decided.dtype == np.uint8
+                assert np.array_equal(decided, angle_decisions(noisy, name))
+                assert np.count_nonzero(decided != bits) > 0 or length < 64
+
+    def test_tie_decides_zero(self):
+        # p = -1 + 1j lies at exactly 3*pi/4, on the boundary of b0: the
+        # sign test decides b0 = 0, where the rounded angle (1.5 turns,
+        # rounded half to even) decided the pi turn (1, 1).
+        symbols = np.array([1 + 0j, -1 + 1j])
+        assert angle_decisions(symbols, "dqpsk")[0, 2:].tolist() == [1, 1]
+        assert demodulate(symbols, "dqpsk")[2:].tolist() == [0, 1]
+        # Re p = 0 decides 0 for DBPSK.
+        assert demodulate(np.array([1 + 0j, 1j]), "dbpsk").tolist() == [0, 0]
+
+
 class TestDifferentialNoisePenalty:
     def test_dbpsk_worse_than_bpsk_at_equal_ebn0(self):
         # Symbol-level channel comparison: the differential detector uses

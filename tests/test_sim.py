@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwtcdma import __version__, sim
+from dwtcdma import __version__, link, sim
 from dwtcdma.link import run_link_once
 from dwtcdma.sim import (
     BerRecord,
@@ -90,6 +90,26 @@ class TestRunPoint:
             run_point(point, min_errors, max_bits)
         with pytest.raises(ValueError, match=message):
             SimConfig(min_bit_errors=min_errors, max_info_bits=max_bits)
+
+    def test_noise_sigma_computed_once_per_point(self, monkeypatch):
+        # sigma is a constant of the link: a point of several chunks
+        # computes it when it configures the link, not once per chunk.
+        calls = []
+        noise_sigma_for = link.noise_sigma_for
+
+        def counted(*args):
+            calls.append(args[0])
+            return noise_sigma_for(*args)
+
+        def chunk(*args):
+            chunks.append(args[0].shape)
+            return run_link_once(*args)
+
+        chunks = []
+        monkeypatch.setattr(link, "noise_sigma_for", counted)
+        monkeypatch.setattr(sim, "run_link_once", chunk)
+        run_point(PointSpec(4.0, "dbpsk", "wh", "bior22", True, 7), 10**6, 50_000, seed=3)
+        assert len(chunks) == 3 and calls == [4.0]
 
     def test_gold_sf16_rejected(self):
         with pytest.raises(ValueError, match="degree 4"):
@@ -178,6 +198,13 @@ class TestRunSweep:
         ({"snr_db": ("5", "5.0")}, "snr_db has duplicate values"),
         ({"snr_db": (True,)}, "snr_db must hold numbers"),
         ({"snr_db": (0.0, -4000.0)}, "snr_db must be finite and not so low"),
+        # 10^308.1 is a float, but a coded link's Eb is 23/12 of the symbol
+        # energy; 10^308.25 is too, but over bior22 the mean symbol energy
+        # of 7 wh users is 1.12.
+        ({"snr_db": (-3081.0,), "coded_flags": (True,), "families": ("wh",),
+          "max_info_bits": 2000}, "snr_db must be finite and not so low"),
+        ({"snr_db": (-3082.5,), "coded_flags": (False,), "families": ("wh",),
+          "wavelets": ("bior22",)}, "snr_db must be finite and not so low"),
     ])
     def test_invalid_grid_fails_before_first_point(self, axes, message, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -268,18 +295,30 @@ class TestTheory:
     def test_runs_without_scipy(self):
         # numpy is the only runtime dependency: block scipy in a fresh
         # interpreter and use the package, CLI and every reference curve.
-        code = (
+        run_in_fresh_interpreter(
             "import sys; sys.modules['scipy'] = None\n"
             "import dwtcdma, dwtcdma.cli\n"
             "from dwtcdma.sim import theoretical_ber\n"
             "for s in ('bpsk', 'qpsk', 'dbpsk', 'dqpsk'): assert theoretical_ber(s, 4.0) > 0\n"
         )
-        src = str(Path(sim.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-c", code], env=env,
-                                capture_output=True, text=True)
-        assert result.returncode == 0, result.stderr
+
+    def test_import_loads_no_process_pool(self):
+        # Only a parallel sweep imports concurrent.futures and multiprocessing.
+        run_in_fresh_interpreter(
+            "import sys, dwtcdma.sim\n"
+            "loaded = {'concurrent.futures', 'multiprocessing'} & set(sys.modules)\n"
+            "assert not loaded, loaded\n"
+        )
+
+
+def run_in_fresh_interpreter(code: str) -> None:
+    """Run code in a new python with this checkout's package on its path."""
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestOutputs:
