@@ -63,7 +63,7 @@ import numpy as np
 
 from . import fec
 from .modem import ModulationScheme, get_scheme, modulate, demodulate
-from .spreading import SpreadingMatrix
+from .spreading import SpreadingMatrix, _check_integer
 from .wavelet import WaveletSpec, dwt_forward, dwt_inverse
 
 
@@ -75,6 +75,9 @@ class LinkConfig:
     leading w x w block C_w of C (None where C is the identity), are
     constants of the link, computed once here; building the config
     therefore fails on an SNR whose noise overflows at this link's Eb.
+    The scalars are checked as SimConfig checks its axes: snr_db is
+    stored as a float, and coded, total_power and num_users must be a
+    bool, a bool and an integer.
     """
 
     spreading: SpreadingMatrix
@@ -89,9 +92,11 @@ class LinkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scheme", get_scheme(self.scheme))
+        object.__setattr__(self, "snr_db", _as_snr(self.snr_db))
+        _check_bool("coded", self.coded)
+        _check_bool("total_power", self.total_power)
+        _check_integer("num_users", self.num_users)
         sf = self.spreading.spreading_factor
-        if isinstance(self.num_users, bool) or not isinstance(self.num_users, (int, np.integer)):
-            raise ValueError(f"num_users must be an integer, got {self.num_users!r}")
         if not 1 <= self.num_users <= sf:
             raise ValueError(f"num_users must be in 1..{sf}, got {self.num_users}")
         if self.wavelet.block_size % sf:
@@ -109,6 +114,19 @@ class LinkConfig:
     @property
     def symbols_per_block(self) -> int:
         return self.wavelet.block_size // self.spreading.spreading_factor
+
+
+def _as_snr(value) -> float:
+    """An SNR as a float; a bool or a non-number is an error."""
+    if not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(TypeError, ValueError):
+            return float(value)
+    raise ValueError(f"snr_db must hold numbers, got {value!r}")
+
+
+def _check_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
 
 
 def spread_multiplex(user_symbols, spreading: SpreadingMatrix) -> np.ndarray:

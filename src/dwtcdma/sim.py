@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fec
-from .link import LinkConfig, run_link_once
+from .link import LinkConfig, _as_snr, _check_bool, run_link_once
 from .modem import get_scheme
-from .spreading import FAMILIES, build_matrix
+from .spreading import FAMILIES, _check_integer, build_matrix
 from .wavelet import WaveletSpec
 
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(21))
@@ -106,8 +106,7 @@ class SimConfig:
             object.__setattr__(self, name, value)
         for name in ("spreading_factor", "levels", "master_seed"):
             _check_integer(name, getattr(self, name))
-        if not isinstance(self.total_power, bool):
-            raise ValueError(f"total_power must be a bool, got {self.total_power!r}")
+        _check_bool("total_power", self.total_power)
         if not all(isinstance(flag, bool) for flag in self.coded_flags):
             raise ValueError(f"coded_flags must hold bools, got {self.coded_flags}")
         _check_stop_rule(self.min_bit_errors, self.max_info_bits)
@@ -127,19 +126,6 @@ class SimConfig:
             for coded in self.coded_flags
             for users in self.user_counts
         ]
-
-
-def _as_snr(value) -> float:
-    """An SNR axis value as a float; a bool or a non-number is an error."""
-    if not isinstance(value, (bool, np.bool_)):
-        with contextlib.suppress(TypeError, ValueError):
-            return float(value)
-    raise ValueError(f"snr_db must hold numbers, got {value!r}")
-
-
-def _check_integer(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_stop_rule(min_bit_errors, max_info_bits) -> None:
@@ -291,12 +277,12 @@ def theoretical_ber(scheme, ebn0_db: float) -> float:
     replaces cancels catastrophically at high Eb/N0 (it turned negative
     from 29.5 dB on).
     """
-    name = get_scheme(scheme).name
+    sch = get_scheme(scheme)
     # Every curve is 0 long before the cap, which keeps the power finite.
     gamma = 10.0 ** min(ebn0_db / 10.0, 300.0)
-    if name in ("bpsk", "qpsk"):
+    if not sch.differential:
         return 0.5 * math.erfc(math.sqrt(gamma))
-    if name == "dbpsk":
+    if sch.bits_per_symbol == 1:
         return 0.5 * math.exp(-gamma)
     # a/b = sqrt((1 - 1/sqrt(2)) / (1 + 1/sqrt(2))) = sqrt(2) - 1 at any g.
     zeta = math.sqrt(2.0) - 1.0
@@ -382,16 +368,32 @@ def _write_manifest(path: Path, config: SimConfig | None, preset: str | None) ->
     return path
 
 
+# How a plot curve's label shows each coordinate of a record.
+_CURVE_LABELS = {"snr_db": "{:g}dB".format, "scheme": str, "family": str, "wavelet": str,
+                 "coded": lambda coded: "coded" if coded else "uncoded",
+                 "users": "{}users".format}
+
+
 def _write_plot_data(records: list[BerRecord], path: Path, preset: str) -> Path:
-    """Columnar plot file: x value then one BER column per curve."""
+    """Columnar plot file: x value then one BER column per curve.
+
+    A curve holds the records that share every coordinate but x.  Its
+    label names the family and the coding, and then each other coordinate
+    that varies among the records: wh-uncoded, or wh-bior22-uncoded when
+    the grid also varies the wavelet.
+    """
     x_axis = PRESETS[preset]["x"]
-    curves = sorted({(r.family, r.coded) for r in records})
-    xs = sorted({getattr(r, x_axis) for r in records})
-    table = {(getattr(r, x_axis), r.family, r.coded): r.ber for r in records}
-    labels = " ".join(f"{family}-{'coded' if coded else 'uncoded'}" for family, coded in curves)
-    lines = [f"# {x_axis} {labels}"]
-    for x in xs:
-        row = [f"{x:g}"] + [repr(table[(x, family, coded)]) for family, coded in curves]
-        lines.append(" ".join(row))
+    coords = [name for name in _CURVE_LABELS if name != x_axis]
+    shown = [name in ("family", "coded") or len({getattr(r, name) for r in records}) > 1
+             for name in coords]
+    table = {(getattr(r, x_axis), tuple(getattr(r, name) for name in coords)): r.ber
+             for r in records}
+    curves = sorted({curve for _, curve in table})
+    labels = ["-".join(_CURVE_LABELS[name](value)
+                       for name, value, show in zip(coords, curve, shown) if show)
+              for curve in curves]
+    lines = [f"# {x_axis} " + " ".join(labels)]
+    for x in sorted({x for x, _ in table}):
+        lines.append(" ".join([f"{x:g}"] + [repr(table[(x, curve)]) for curve in curves]))
     path.write_text("\n".join(lines) + "\n")
     return path

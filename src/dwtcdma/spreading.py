@@ -61,6 +61,13 @@ class SpreadingMatrix:
             raise ValueError(f"{self.family} rows are not mutually orthogonal")
 
 
+def _check_integer(name: str, value) -> None:
+    """An integer parameter must be an int or a numpy integer; a bool or a
+    float with an integral value is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
@@ -216,13 +223,19 @@ def golay_complementary_matrix(n: int) -> SpreadingMatrix:
     return SpreadingMatrix(FAMILY_GCS, n, rows)
 
 
-@lru_cache(maxsize=None)
 def build_matrix(family: str, n: int) -> SpreadingMatrix:
     """Build a spreading matrix by family token ('wh', 'gold' or 'gcs').
 
     Memoised: every call with the same arguments returns the same
-    immutable matrix, whose rows are write-protected.
+    immutable matrix, whose rows are write-protected.  n is checked
+    before the cache, where 8.0 and True would hit the entries of 8 and 1.
     """
+    _check_integer("n", n)
+    return _build_matrix(family, int(n))
+
+
+@lru_cache(maxsize=None)
+def _build_matrix(family: str, n: int) -> SpreadingMatrix:
     if family == FAMILY_WALSH:
         return walsh_hadamard(n)
     if family == FAMILY_GOLD:

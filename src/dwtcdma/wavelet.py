@@ -26,6 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .spreading import _check_integer
+
 FAMILY_TOKENS = ("haar", "db2", "bior22")
 
 
@@ -40,6 +42,8 @@ class WaveletSpec:
     def __post_init__(self):
         if self.family not in FAMILY_TOKENS:
             raise ValueError(f"unknown wavelet family {self.family!r} (choose from {FAMILY_TOKENS})")
+        _check_integer("block_size", self.block_size)
+        _check_integer("levels", self.levels)
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
         if self.block_size % (1 << self.levels) or self.block_size < 2:

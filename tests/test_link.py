@@ -177,6 +177,21 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match="num_users must be an integer"):
             config(users=users)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("coded", "no", "coded must be a bool"),
+        ("total_power", "yes", "total_power must be a bool"),
+        ("snr_db", True, "snr_db must hold numbers"),
+        ("snr_db", None, "snr_db must hold numbers"),
+    ])
+    def test_rejects_mistyped_scalars(self, field, value, message):
+        # "no" would run a coded link, and True a link at 1 dB.
+        with pytest.raises(ValueError, match=message):
+            config(**{field: value})
+
+    def test_reads_snr_text_as_sim_config_does(self):
+        cfg = config(snr_db="5")
+        assert cfg.snr_db == 5.0 and cfg.noise_sigma == config(snr_db=5.0).noise_sigma
+
     def test_accepts_numpy_integer_users(self):
         assert config(users=np.int64(3)).num_users == 3
 

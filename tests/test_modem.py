@@ -114,6 +114,10 @@ class TestRoundTrips:
         for name in SCHEMES:
             assert modulate([], name).size == 0
             assert demodulate([], name).size == 0
+            # Zero rows keep their row length.
+            bps = SCHEMES[name].bits_per_symbol
+            assert modulate(np.zeros((0, 4), dtype=np.uint8), name).shape == (0, 4 // bps)
+            assert demodulate(np.zeros((0, 4), dtype=complex), name).shape == (0, 4 * bps)
 
 
 class TestEnergyAndRotation:
@@ -190,6 +194,94 @@ class TestSignTestDetector:
         assert demodulate(symbols, "dqpsk")[2:].tolist() == [0, 1]
         # Re p = 0 decides 0 for DBPSK.
         assert demodulate(np.array([1 + 0j, 1j]), "dbpsk").tolist() == [0, 0]
+
+
+# The per-scheme modem that the table modem replaced, kept as the
+# bit-exact reference for modulate and demodulate.
+_REF_SQRT2 = np.sqrt(2.0)
+_REF_DQPSK = (1 + 1j) / _REF_SQRT2
+
+
+def reference_modulate(bits, name):
+    b = np.atleast_1d(np.asarray(bits)).astype(np.uint8)
+    if name == "bpsk":
+        symbols = b * -2.0
+        symbols += 1.0
+        return symbols
+    if name == "dbpsk":
+        return np.array([1, -1], dtype=np.complex128).take(np.bitwise_xor.accumulate(b, axis=-1))
+    b0, b1 = b[..., 0::2], b[..., 1::2]
+    if name == "qpsk":
+        return ((1.0 - 2.0 * b0) + 1j * (1.0 - 2.0 * b1)) / _REF_SQRT2
+    turns = b0 ^ b1
+    turns += b0
+    turns += b0
+    np.cumsum(turns, axis=-1, dtype=np.uint8, out=turns)
+    turns &= 3
+    return (_REF_DQPSK * np.array([1, 1j, -1, -1j], dtype=np.complex128)).take(turns)
+
+
+def reference_demodulate(symbols, name):
+    if name == "bpsk":
+        return (np.atleast_1d(np.asarray(symbols)).real < 0).view(np.uint8)
+    r = np.atleast_1d(np.asarray(symbols, dtype=np.complex128))
+    lead = r.shape[:-1]
+    if name == "qpsk":
+        return np.stack([r.real < 0, r.imag < 0], axis=-1).astype(np.uint8).reshape(lead + (-1,))
+    if r.shape[-1] == 0:
+        return np.zeros(r.shape, dtype=np.uint8)
+    ref = 1 + 0j if name == "dbpsk" else _REF_DQPSK
+    x, y = r.real, r.imag
+    now, before = (..., slice(1, None)), (..., slice(None, -1))
+    re = np.empty(r.shape)
+    re[..., 0] = x[..., 0] * ref.real + y[..., 0] * ref.imag
+    re[now] = x[now] * x[before] + y[now] * y[before]
+    if name == "dbpsk":
+        return np.less(re, 0).view(np.uint8)
+    im = np.empty(r.shape)
+    im[..., 0] = y[..., 0] * ref.real - x[..., 0] * ref.imag
+    im[now] = y[now] * x[before] - x[now] * y[before]
+    pairs = np.left_shift(np.less(re, im).view(np.uint8), 8, dtype="<u2")
+    pairs |= np.less(re + im, 0).view(np.uint8)
+    return pairs.view(np.uint8).reshape(lead + (-1,))
+
+
+class TestTableModemMatchesReference:
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_symbols_bit_identical(self, name):
+        # Compared as raw 64-bit words, so a -0.0/+0.0 swap would show.
+        rng = np.random.default_rng(zlib.crc32(name.encode()) + 1)
+        bps = SCHEMES[name].bits_per_symbol
+        for rows in range(1, 8):
+            for length in (0, 1, 3, 64, 1000):
+                bits = rng.integers(0, 2, (rows, length * bps), dtype=np.uint8)
+                symbols, expected = modulate(bits, name), reference_modulate(bits, name)
+                assert symbols.dtype == expected.dtype and symbols.shape == expected.shape
+                assert np.array_equal(symbols.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_noisy_decisions_identical(self, name):
+        rng = np.random.default_rng(zlib.crc32(name.encode()) + 2)
+        bps = SCHEMES[name].bits_per_symbol
+        for rows in range(1, 8):
+            for length in (0, 1, 3, 64, 1000):
+                symbols = modulate(rng.integers(0, 2, (rows, length * bps)), name)
+                noisy = symbols + 0.8 * rng.standard_normal(symbols.shape)
+                if symbols.dtype == np.complex128:
+                    noisy = noisy + 0.8j * rng.standard_normal(symbols.shape)
+                decided = demodulate(noisy, name)
+                assert decided.dtype == np.uint8
+                assert np.array_equal(decided, reference_demodulate(noisy, name))
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_tie_decisions_identical(self, name):
+        # Products and rails exactly on a decision boundary, signed zeros
+        # included, and the ties of TestSignTestDetector.
+        ties = [np.array([1 + 0j, -1 + 1j]), np.array([1 + 0j, 1j]),
+                np.array([0.0, -0.0, 0j, -0j, complex(0.0, -0.0), complex(-0.0, 0.0)]),
+                np.array([1 + 1j, -1 - 1j, 1 - 1j, -1 + 1j, 0j, 1 + 1j])]
+        for symbols in ties:
+            assert np.array_equal(demodulate(symbols, name), reference_demodulate(symbols, name))
 
 
 class TestDifferentialNoisePenalty:

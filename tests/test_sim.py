@@ -361,6 +361,24 @@ class TestOutputs:
         assert len(lines) == 21
         assert all(len(line.split()) == 7 for line in lines)
 
+    def test_plot_file_keeps_every_curve(self, tmp_path):
+        # A grid that also varies the wavelet: each curve keeps its own
+        # values, and the shipped axes keep their labels.
+        config = preset_config("fig2", snr_db=(0.0, 1.0), wavelets=("haar", "bior22"), **FAST)
+        records = [BerRecord(p.snr_db, p.scheme, p.family, p.wavelet, p.coded, p.users,
+                             100, 1, (0.25 if p.wavelet == "haar" else 0.5) + p.coded / 8, 0)
+                   for p in config.points()]
+        write_outputs(records, tmp_path, config, preset="fig2")
+        header, *rows = (tmp_path / "fig2.dat").read_text().splitlines()
+        labels = header.split()[2:]
+        assert len(labels) == 12 and "wh-bior22-uncoded" in labels and "gcs-haar-coded" in labels
+        for row in rows:
+            values = dict(zip(labels, map(float, row.split()[1:])))
+            assert values["wh-haar-uncoded"] == 0.25 and values["wh-bior22-coded"] == 0.625
+
+        write_outputs(records[:1], tmp_path, config, preset="fig2")
+        assert (tmp_path / "fig2.dat").read_text().splitlines()[0] == "# snr_db wh-uncoded"
+
     def test_golden_digest_of_small_sweep(self, tmp_path):
         # Pins the values of a fixed grid: fig2 at three SNRs plus a DBPSK
         # point over db2, a coded DQPSK point over bior22, an uncoded QPSK

@@ -220,5 +220,14 @@ class TestMatrixValidationAndHelpers:
         with pytest.raises(ValueError, match="read-only"):
             first.rows[0, 0] = 1
 
+    @pytest.mark.parametrize("n", [8.0, True])
+    def test_build_matrix_checks_order_before_cache(self, n):
+        # The cache compares 8.0 equal to 8 and True to 1, so a check
+        # behind it would pass them once 8 or 1 had been built.
+        build_matrix("wh", 8)
+        build_matrix("wh", 1)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            build_matrix("wh", n)
+
     def test_verify_invariants_all_pass(self):
         assert all(ok for _, ok, _ in verify_spreading_invariants())

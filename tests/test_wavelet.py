@@ -156,3 +156,9 @@ class TestEnergyProperties:
             WaveletSpec("haar", block_size=96, levels=6)
         with pytest.raises(ValueError):
             WaveletSpec("haar", block_size=256, levels=0)
+
+    @pytest.mark.parametrize("field, value", [("levels", True), ("block_size", 256.0)])
+    def test_spec_rejects_non_integer_sizes(self, field, value):
+        # True would build one level and 256.0 a float block size.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            WaveletSpec("haar", **{field: value})
