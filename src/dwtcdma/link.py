@@ -7,9 +7,11 @@ Signal-to-noise convention: snr_db is Eb/N0 per information bit.  Noise
 is calibrated against the expected transmitted energy per data symbol
 (see below), so a coded link pays its 12/23 rate penalty in signal
 energy and the definition stays correct for the non-orthonormal
-biorthogonal transform.  In the optional total-power mode the symbols
-are scaled by 1/sqrt(U) after calibration, holding total transmit power
-constant so each of the U users keeps only a 1/U share of energy.
+biorthogonal transform.  In the optional total-power mode, which holds
+total transmit power constant so each of the U users keeps only a 1/U
+share of energy, the noise std is scaled by sqrt(U) in place of the
+symbols by 1/sqrt(U): every detector is a sign test, and scaling all
+received symbols by a positive number leaves every sign unchanged.
 
 From modulated symbols to despread symbols the chain is real-linear:
 two real matrices per (code rows, wavelet), T = spread then inverse DWT
@@ -31,9 +33,10 @@ the same law.  The link therefore runs in the despread-symbol domain and
 forms y = x + sigma z C_w.  The symbols of every scheme are zero-mean,
 unit-energy and mutually uncorrelated, so a symbol sends on average
 ||T_w||_F^2 / w, the mean of the first w row energies |T[k]|^2; that
-constant sets sigma.  For the orthonormal wavelets the energies are 1
-and C is the identity; channel_operators decides that once from the
-operator, and the link then uses sigma z itself, with no product.
+constant sets sigma.  For the orthonormal wavelets C is the identity and
+the energies are exactly 1, so sigma takes its closed form and is the
+same for every code family; channel_operators decides that once from
+the operator, and the link then uses sigma z itself, with no product.
 (energies, C) is built once per (code rows, wavelet) and cached by value.
 sigma and C_w are constants of the link: LinkConfig computes them once,
 when it is built, and every chunk reads them.
@@ -75,6 +78,8 @@ class LinkConfig:
     leading w x w block C_w of C (None where C is the identity), are
     constants of the link, computed once here; building the config
     therefore fails on an SNR whose noise overflows at this link's Eb.
+    Over haar and db2, noise_sigma is noise_sigma_for(snr_db, config, 1.0)
+    exactly; in total-power mode it is that std times sqrt(num_users).
     The scalars are checked as SimConfig checks its axes: snr_db is
     stored as a float, and coded, total_power and num_users must be a
     bool, a bool and an integer.
@@ -106,6 +111,8 @@ class LinkConfig:
         width = self.num_users * self.symbols_per_block
         energies, factor = channel_operators(self.spreading, self.wavelet)
         sigma = noise_sigma_for(self.snr_db, self, float(np.mean(energies[:width])))
+        if self.total_power:
+            sigma *= math.sqrt(self.num_users)
         object.__setattr__(self, "noise_sigma", sigma)
         if factor is not None:
             factor = factor[:width, :width]
@@ -198,32 +205,22 @@ def channel_operators(spreading: SpreadingMatrix,
     energies and the leading w x w block of C serve the first w symbols.
     C is None when no entry of C - I exceeds 1e-12 (haar and db2 stay
     within 3e-15; bior22 departs by 0.2 or more), decided here from the
-    operator, so the link skips the product.  Cached by value; the
-    arrays are read-only.
+    operator, so the link skips the product.  R is then orthogonal and
+    T = R^T, so every energy is exactly 1.0 rather than its rounded sum.
+    Cached by value; the arrays are read-only.
     """
     key = (spreading.rows.tobytes(), wavelet)
     if key not in _OPERATORS:
         synthesis, despreading = link_operators(spreading, wavelet)
-        energies = np.einsum("ij,ij->i", synthesis, synthesis)
-        energies.setflags(write=False)
         factor = np.linalg.cholesky(despreading.T @ despreading).T
         if np.max(np.abs(factor - np.eye(len(factor)))) <= 1e-12:
-            factor = None
+            energies, factor = np.ones(len(factor)), None
         else:
+            energies = np.einsum("ij,ij->i", synthesis, synthesis)
             factor.setflags(write=False)
+        energies.setflags(write=False)
         _OPERATORS[key] = (energies, factor)
     return _OPERATORS[key]
-
-
-def _noise_density(snr_db: float, eb: float) -> float:
-    """N0 = eb * 10^(-snr_db/10).  A ValueError names snr_db when it is
-    not finite or so low that N0 overflows."""
-    with contextlib.suppress(OverflowError):
-        n0 = eb * 10.0 ** (-float(snr_db) / 10.0)
-        if math.isfinite(snr_db) and math.isfinite(n0):
-            return n0
-    raise ValueError(f"snr_db must be finite and not so low that the noise overflows, "
-                     f"got {snr_db}")
 
 
 def noise_sigma_for(snr_db: float, config: LinkConfig, mean_symbol_energy: float) -> float:
@@ -232,29 +229,19 @@ def noise_sigma_for(snr_db: float, config: LinkConfig, mean_symbol_energy: float
     Eb = mean_symbol_energy / (bits_per_symbol * R) with code rate
     R = 12/23 when coded and 1 otherwise; N0 = Eb * 10^(-snr_db/10);
     sigma = sqrt(N0/2) for each real dimension of each time-domain sample.
+    A ValueError names snr_db when it is not finite or so low that N0
+    overflows.
     """
     if mean_symbol_energy <= 0:
         raise ValueError(f"mean symbol energy must be positive, got {mean_symbol_energy}")
     rate = fec.CODE_RATE if config.coded else 1.0
     eb = mean_symbol_energy / (config.scheme.bits_per_symbol * rate)
-    return float(np.sqrt(_noise_density(snr_db, eb) / 2.0))
-
-
-def _noise(shape, sigma: float, rng: np.random.Generator, dims: int = 2,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Gaussian noise of std sigma as a real (dims, *shape) array: [0] holds
-    the real parts and [1], if dims is 2, the imaginary parts, drawn in
-    that order in one call, into out if it is given.  sigma == 0 draws
-    nothing."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    noise = np.empty((dims, *shape)) if out is None else out
-    if sigma == 0:
-        noise.fill(0.0)
-        return noise
-    rng.standard_normal(out=noise)
-    noise *= sigma
-    return noise
+    with contextlib.suppress(OverflowError):
+        n0 = eb * 10.0 ** (-float(snr_db) / 10.0)
+        if math.isfinite(snr_db) and math.isfinite(n0):
+            return math.sqrt(n0 / 2.0)
+    raise ValueError(f"snr_db must be finite and not so low that the noise overflows, "
+                     f"got {snr_db}")
 
 
 # Scratch memory of run_link_once, one pair of arrays per thread (see _scratch).
@@ -295,11 +282,12 @@ def _receive(symbols: np.ndarray, config: LinkConfig, rng: np.random.Generator) 
     # block b of the noise belongs to user k's symbol b*G + g.
     rails = symbols.view(np.float64).reshape(n_users, n_blocks, group, -1).transpose(3, 0, 1, 2)
     dims = len(rails)
-    drawn, free = _scratch((dims, n_blocks, n_users * group))
-    noise = _noise(drawn.shape[1:], config.noise_sigma, rng, dims, out=drawn)
+    noise, free = _scratch((dims, n_blocks, n_users * group))
+    rng.standard_normal(out=noise)
+    noise *= config.noise_sigma
     if config.noise_factor is not None:
         # Once coloured, the draw is spent and its array takes the sum.
-        noise, free = np.matmul(drawn, config.noise_factor, out=free), drawn
+        noise, free = np.matmul(noise, config.noise_factor, out=free), noise
     received = free.reshape(n_users, n_blocks, group, dims)
     np.add(rails, noise.reshape(dims, n_blocks, n_users, group).transpose(0, 2, 1, 3),
            out=received.transpose(3, 0, 1, 2))
@@ -307,9 +295,13 @@ def _receive(symbols: np.ndarray, config: LinkConfig, rng: np.random.Generator) 
 
 
 def apply_awgn(signal, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add independent Gaussian noise of std sigma per real dimension."""
+    """Add independent Gaussian noise of std sigma per real dimension: one
+    standard-normal draw of shape (2, *signal.shape), the real parts
+    first and then the imaginary parts."""
+    if sigma < 0:
+        raise ValueError("sigma must be >= 0")
     x = np.asarray(signal, dtype=np.complex128)
-    noise = _noise(x.shape, sigma, rng)
+    noise = sigma * rng.standard_normal((2, *x.shape))
     return x + (noise[0] + 1j * noise[1])
 
 
@@ -337,8 +329,6 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     padded = np.zeros((n_users, n_blocks * block_bits), dtype=np.uint8)
     padded[:, :n_coded] = tx_bits
     symbols = modulate(padded, scheme)
-    if config.total_power:
-        symbols /= np.sqrt(n_users)
     received = _receive(symbols, config, rng)
     del symbols  # freed before detection (see _receive)
     hard = demodulate(received, scheme)[:, :n_coded]

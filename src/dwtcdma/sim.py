@@ -128,14 +128,17 @@ class SimConfig:
         ]
 
 
+def _check_at_least(name: str, value, least: int) -> None:
+    _check_integer(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def _check_stop_rule(min_bit_errors, max_info_bits) -> None:
     """The stop rule that SimConfig and run_point accept: at least one
     error and one block of bits, as integers."""
-    for name, value, least in (("min_bit_errors", min_bit_errors, 1),
-                               ("max_info_bits", max_info_bits, fec.K_MSG)):
-        _check_integer(name, value)
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+    _check_at_least("min_bit_errors", min_bit_errors, 1)
+    _check_at_least("max_info_bits", max_info_bits, fec.K_MSG)
 
 
 def point_seed(master_seed: int, point: PointSpec) -> int:
@@ -174,9 +177,11 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
     """Estimate BER at one point: run fresh payloads until the error
     target is met or the bit budget is exhausted.
 
-    bits_sent stays below max_info_bits + num_users: the last chunk is
-    cut to the bits the budget has left.  The stop rule must pass the
-    check that SimConfig makes, or a ValueError is raised.
+    The target is checked after whole chunks of about 20,000 information
+    bits, so a min_bit_errors below one chunk's error count has no
+    effect.  bits_sent stays below max_info_bits + num_users: the last
+    chunk is cut to the bits the budget has left.  The stop rule must
+    pass the check that SimConfig makes, or a ValueError is raised.
     """
     _check_stop_rule(min_bit_errors, max_info_bits)
     started = time.perf_counter()
@@ -208,8 +213,10 @@ def run_sweep(config: SimConfig, jobs: int = 1) -> list[BerRecord]:
     """Run the Cartesian product of the sweep axes.
 
     Records come back sorted by coordinates, identically for any jobs
-    count, because every point owns a coordinate-derived seed.
+    count, because every point owns a coordinate-derived seed.  jobs must
+    be an integer of at least 1, as for the CLI's --jobs.
     """
+    _check_at_least("jobs", jobs, 1)
     points = config.points()
     args = (points, repeat(config.min_bit_errors), repeat(config.max_info_bits),
             [point_seed(config.master_seed, point) for point in points])
@@ -306,11 +313,15 @@ PRESETS = {
 }
 
 
+def _check_preset(name) -> None:
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r} (choose from {sorted(PRESETS)})")
+
+
 def preset_config(name: str, master_seed: int = 0, **overrides) -> SimConfig:
     """The SimConfig of a figure analogue: SimConfig's defaults, then the
     axes the preset sets, then the overrides."""
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r} (choose from {sorted(PRESETS)})")
+    _check_preset(name)
     return SimConfig(**{**PRESETS[name]["axes"], "master_seed": master_seed, **overrides})
 
 
@@ -324,14 +335,23 @@ def _format_record(r: BerRecord) -> str:
 
 def write_outputs(records: list[BerRecord], out_dir, config: SimConfig | None = None,
                   preset: str | None = None) -> list[Path]:
-    """Write results.csv, manifest.txt and (for presets) a plot-data file."""
+    """Write results.csv, manifest.txt and (for presets) a plot-data file.
+
+    An unknown preset, or records that leave a cell of its plot empty,
+    raise a ValueError before any file is written.
+    """
+    if preset is not None:
+        _check_preset(preset)
+    plot = _plot_data(records, preset) if preset is not None and records else None
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         written = [_write_csv(records, out / "results.csv")]
         written.append(_write_manifest(out / "manifest.txt", config, preset))
-        if preset is not None and records:
-            written.append(_write_plot_data(records, out / f"{preset}.dat", preset))
+        if plot is not None:
+            path = out / f"{preset}.dat"
+            path.write_text(plot)
+            written.append(path)
         return written
     except OSError as exc:
         raise OSError(f"failed writing outputs under {out}: {exc}") from exc
@@ -374,13 +394,14 @@ _CURVE_LABELS = {"snr_db": "{:g}dB".format, "scheme": str, "family": str, "wavel
                  "users": "{}users".format}
 
 
-def _write_plot_data(records: list[BerRecord], path: Path, preset: str) -> Path:
-    """Columnar plot file: x value then one BER column per curve.
+def _plot_data(records: list[BerRecord], preset: str) -> str:
+    """Columnar plot text: x value then one BER column per curve.
 
     A curve holds the records that share every coordinate but x.  Its
     label names the family and the coding, and then each other coordinate
     that varies among the records: wh-uncoded, or wh-bior22-uncoded when
-    the grid also varies the wavelet.
+    the grid also varies the wavelet.  Every curve needs a record at
+    every x; a ValueError names the first empty cell.
     """
     x_axis = PRESETS[preset]["x"]
     coords = [name for name in _CURVE_LABELS if name != x_axis]
@@ -394,6 +415,9 @@ def _write_plot_data(records: list[BerRecord], path: Path, preset: str) -> Path:
               for curve in curves]
     lines = [f"# {x_axis} " + " ".join(labels)]
     for x in sorted({x for x, _ in table}):
+        for curve, label in zip(curves, labels):
+            if (x, curve) not in table:
+                raise ValueError(f"the records leave the {preset} plot cell "
+                                 f"{x_axis}={x:g}, curve {label} empty")
         lines.append(" ".join([f"{x:g}"] + [repr(table[(x, curve)]) for curve in curves]))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import numpy as np
@@ -13,6 +14,7 @@ from dwtcdma.link import (
     run_link_once,
     spread_multiplex,
 )
+from dwtcdma.modem import demodulate, modulate
 from dwtcdma.spreading import build_matrix, walsh_hadamard
 from dwtcdma.wavelet import WaveletSpec
 
@@ -124,6 +126,18 @@ class TestNoiseSigma:
             else:
                 assert np.array_equal(cfg.noise_factor, factor[:width, :width])
 
+    def test_orthonormal_links_take_the_closed_form(self):
+        # Over haar and db2 every family sends unit energy per symbol, so
+        # sigma depends on the bits per symbol and the code rate alone.
+        sigmas = set()
+        for family, wavelet, users, scheme, coded in itertools.product(
+                ("wh", "gold", "gcs"), ("haar", "db2"), range(1, 9),
+                ("bpsk", "qpsk", "dbpsk", "dqpsk"), (False, True)):
+            cfg = config(family, wavelet, scheme, users, coded, 6.0)
+            assert cfg.noise_sigma == noise_sigma_for(6.0, cfg, 1.0)
+            sigmas.add(cfg.noise_sigma)
+        assert len(sigmas) == 4
+
     def test_overflow_checked_at_the_links_own_eb(self):
         # 10^308.25 is a float: haar's Eb of 1 passes, bior22's mean symbol
         # energy of 1.12 (7 wh users) does not.
@@ -153,14 +167,15 @@ class TestApplyAwgn:
 
     def test_equals_noise_helper_halves(self):
         x = np.arange(6, dtype=complex).reshape(2, 3)
-        noise = link._noise(x.shape, 0.3, np.random.default_rng(7))
+        noise = 0.3 * np.random.default_rng(7).standard_normal((2, *x.shape))
         assert np.array_equal(apply_awgn(x, 0.3, np.random.default_rng(7)),
                               x + (noise[0] + 1j * noise[1]))
 
     def test_one_draw_is_real_parts_then_imaginary_parts(self):
         rng = np.random.default_rng(8)
         separate = [rng.standard_normal(50), rng.standard_normal(50)]
-        assert np.array_equal(link._noise((50,), 1.0, np.random.default_rng(8)), separate)
+        noisy = apply_awgn(np.zeros(50, dtype=complex), 1.0, np.random.default_rng(8))
+        assert np.array_equal([noisy.real, noisy.imag], separate)
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
@@ -220,6 +235,18 @@ class TestChannelOperators:
         else:
             assert factor is None
             assert np.max(np.abs(energies - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("sf", [8, 32])
+    @pytest.mark.parametrize("family", ["wh", "gold", "gcs"])
+    @pytest.mark.parametrize("wavelet", ["haar", "db2", "bior22"])
+    def test_orthonormal_operators_are_exact(self, wavelet, family, sf):
+        # An orthogonal operator sends exactly unit energy per symbol, so
+        # haar and db2 give the same channel for every family.
+        energies, factor = channel_operators(build_matrix(family, sf), WaveletSpec(wavelet))
+        if wavelet == "bior22":
+            assert factor is not None
+        else:
+            assert factor is None and np.array_equal(energies, np.ones(256))
 
 
 class TestRunLinkOnce:
@@ -317,6 +344,33 @@ class TestRunLinkOnce:
         run_link_once(bits, cfg, rng)
         twin.standard_normal((1 if scheme == "bpsk" else 2, 4, users * 32))
         assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("wavelet", ["haar", "bior22"])
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
+    def test_total_power_chunk_replays_by_hand(self, scheme, wavelet):
+        # Total power scales the noise std by sqrt(U) in place of the
+        # symbols by 1/sqrt(U).  Every detector is a sign test, so the link
+        # decides what symbols / sqrt(U) + sigma z decides, with sigma the
+        # per-user std and z the link's own draw (see the module docstring).
+        users, blocks = 4, 8
+        cfg = config(users=users, wavelet=wavelet, scheme=scheme, snr_db=3.0, total_power=True)
+        group, width = cfg.symbols_per_block, users * cfg.symbols_per_block
+        n_bits = blocks * group * cfg.scheme.bits_per_symbol
+        bits = np.random.default_rng(22).integers(0, 2, (users, n_bits), dtype=np.uint8)
+        decoded, errors = run_link_once(bits, cfg, np.random.default_rng(23))
+
+        energies, factor = channel_operators(cfg.spreading, cfg.wavelet)
+        sigma = noise_sigma_for(3.0, cfg, float(np.mean(energies[:width])))
+        symbols = modulate(bits, cfg.scheme)
+        dims = 2 if np.iscomplexobj(symbols) else 1
+        noise = sigma * np.random.default_rng(23).standard_normal((dims, blocks, width))
+        if factor is not None:
+            noise = noise @ factor[:width, :width]
+        noise = noise.reshape(dims, blocks, users, group).transpose(0, 2, 1, 3)
+        noise = noise.reshape(dims, users, -1)
+        received = symbols * (1 / np.sqrt(users)) + (noise[0] if dims == 1
+                                                     else noise[0] + 1j * noise[1])
+        assert errors > 0 and np.array_equal(decoded, demodulate(received, cfg.scheme))
 
     def test_coded_beats_uncoded_at_high_snr(self):
         rng_bits = np.random.default_rng(15)

@@ -175,6 +175,18 @@ class TestRunSweep:
                 raise RuntimeError("inside")
         assert dict(os.environ) == before
 
+    @pytest.mark.parametrize("jobs, message", [
+        (0, "jobs must be at least 1"), (-2, "jobs must be at least 1"),
+        (True, "jobs must be an integer"), (2.5, "jobs must be an integer"),
+        ("2", "jobs must be an integer"),
+    ])
+    def test_rejects_bad_jobs(self, jobs, message, monkeypatch):
+        # As the CLI's --jobs: checked before any point runs or any pool starts.
+        config = SimConfig(snr_db=(0.0,), families=("wh",), coded_flags=(False,), **FAST)
+        monkeypatch.setattr(sim, "run_point", None)
+        with pytest.raises(ValueError, match=message):
+            run_sweep(config, jobs=jobs)
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
             SimConfig(snr_db=())
@@ -399,6 +411,21 @@ class TestOutputs:
         write_outputs(records, tmp_path)
         digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
         assert digest == "f53a4d2aaa751aa0f41a4a4332ab4fac2f0648a2c26318921d2f2e0480963d5f"
+
+    @pytest.mark.parametrize("preset, drop_last, message", [
+        ("fig9", False, r"unknown preset 'fig9' \(choose from \['fig2'"),
+        ("FIG2", False, "unknown preset 'FIG2'"),
+        ("fig2", True, "plot cell snr_db=1, curve gcs-coded empty"),
+    ])
+    def test_bad_preset_or_empty_plot_cell_writes_nothing(self, tmp_path, preset, drop_last,
+                                                          message):
+        config = preset_config("fig2", snr_db=(0.0, 1.0), **FAST)
+        records = [BerRecord(p.snr_db, p.scheme, p.family, p.wavelet, p.coded, p.users,
+                             100, 1, 0.01, 0) for p in config.points()]
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            write_outputs(records[:-1] if drop_last else records, out, config, preset=preset)
+        assert not out.exists()
 
     def test_write_failure_has_path_context(self, tmp_path):
         target = tmp_path / "blocked"
