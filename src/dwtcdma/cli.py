@@ -7,6 +7,7 @@ preset, so the defaults live in SimConfig alone."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import sys
@@ -14,39 +15,50 @@ import sys
 from . import __version__, fec, sim, spreading
 
 
+_AXIS_RULE = "a comma list or an ascending low:high[:step] range"
+
+
+def _axis_values(text: str, convert, kind: str) -> list:
+    """The values of a comma list, or the bounds and step of a range, as
+    convert reads them; an error states the rule."""
+    parts = text.split(":") if ":" in text else text.split(",")
+    with contextlib.suppress(ValueError):
+        if ":" not in text or len(parts) in (2, 3):
+            return [convert(p) for p in parts]
+    raise argparse.ArgumentTypeError(f"expected {kind} as {_AXIS_RULE}, got {text!r}")
+
+
 def _parse_float_axis(text: str) -> tuple:
     """Accept ascending 'a:b[:step]' ranges, which never pass b, or
     comma-separated values."""
-    if ":" in text:
-        parts = [float(p) for p in text.split(":")]
-        if len(parts) == 2:
-            parts.append(1.0)
-        start, stop, step = parts
-        if not all(math.isfinite(p) for p in parts):
-            raise argparse.ArgumentTypeError("range bounds and step must be finite")
-        if step <= 0:
-            raise argparse.ArgumentTypeError("step must be positive")
-        if stop < start:
-            raise argparse.ArgumentTypeError(f"range {text} descends; write it as low:high")
-        # The slack keeps a stop that lies on the grid, such as 0.3 in 0:0.3:0.1.
-        count = math.floor((stop - start) / step + 1e-9) + 1
-        return tuple(start + i * step for i in range(count))
-    return tuple(float(p) for p in text.split(","))
+    values = _axis_values(text, float, "numbers")
+    if ":" not in text:
+        return tuple(values)
+    start, stop, step = values if len(values) == 3 else values + [1.0]
+    if not all(math.isfinite(p) for p in (start, stop, step)):
+        raise argparse.ArgumentTypeError("range bounds and step must be finite")
+    if step <= 0:
+        raise argparse.ArgumentTypeError("step must be positive")
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"range {text} descends; write it as low:high")
+    # The slack keeps a stop that lies on the grid, such as 0.3 in 0:0.3:0.1.
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    return tuple(start + i * step for i in range(count))
 
 
 def _parse_int_axis(text: str) -> tuple:
-    if ":" in text:
-        if not all(float(p).is_integer() for p in text.split(":")):
-            raise argparse.ArgumentTypeError(f"range {text} needs integer bounds and step")
-        return tuple(int(v) for v in _parse_float_axis(text))
-    return tuple(int(p) for p in text.split(","))
+    if ":" not in text:
+        return tuple(_axis_values(text, int, "integers"))
+    if not all(v.is_integer() for v in _axis_values(text, float, "integers")):
+        raise argparse.ArgumentTypeError(f"range {text} needs integer bounds and step")
+    return tuple(int(v) for v in _parse_float_axis(text))
 
 
 def _parse_jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError("--jobs must be at least 1")
-    return jobs
+    with contextlib.suppress(ValueError):
+        if (jobs := int(text)) >= 1:
+            return jobs
+    raise argparse.ArgumentTypeError(f"--jobs must be at least 1 (an integer), got {text!r}")
 
 
 def _parse_names(text: str) -> tuple:

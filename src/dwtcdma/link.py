@@ -157,18 +157,6 @@ def spread_multiplex(user_symbols, spreading: SpreadingMatrix) -> np.ndarray:
     return blocks.reshape(s.shape[:-2] + (-1,))
 
 
-def despread(coefficients, spreading: SpreadingMatrix, user: int) -> np.ndarray:
-    """Correlate one user's code row against each coefficient group."""
-    sf = spreading.spreading_factor
-    if not 0 <= user < sf:
-        raise ValueError(f"user index {user} out of range 0..{sf - 1}")
-    c = np.asarray(coefficients, dtype=np.complex128)
-    if c.shape[-1] % sf:
-        raise ValueError(f"coefficient length {c.shape[-1]} not divisible by {sf}")
-    groups = c.reshape(c.shape[:-1] + (-1, sf))
-    return groups @ (spreading.rows[user] / np.sqrt(sf))
-
-
 def link_operators(spreading: SpreadingMatrix,
                    wavelet: WaveletSpec) -> tuple[np.ndarray, np.ndarray]:
     """Real matrices (T, R) of the linear chain for all SF code rows.
@@ -297,9 +285,10 @@ def _receive(symbols: np.ndarray, config: LinkConfig, rng: np.random.Generator) 
 def apply_awgn(signal, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add independent Gaussian noise of std sigma per real dimension: one
     standard-normal draw of shape (2, *signal.shape), the real parts
-    first and then the imaginary parts."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    first and then the imaginary parts.  The time-domain channel of the
+    reference cascade; run_link_once adds its noise after despreading."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     x = np.asarray(signal, dtype=np.complex128)
     noise = sigma * rng.standard_normal((2, *x.shape))
     return x + (noise[0] + 1j * noise[1])

@@ -86,10 +86,6 @@ def get_scheme(scheme) -> ModulationScheme:
         raise ValueError(f"unknown modulation scheme {scheme!r} (choose from {sorted(SCHEMES)})")
 
 
-def bits_per_symbol(scheme) -> int:
-    return get_scheme(scheme).bits_per_symbol
-
-
 def modulate(bits, scheme) -> np.ndarray:
     """Map a bit stream (or each row of an array of streams) to unit-energy
     symbols: real float64 for BPSK, complex128 for the other schemes."""

@@ -363,19 +363,6 @@ def _write_csv(records: list[BerRecord], path: Path) -> Path:
     return path
 
 
-def read_results(path) -> list[BerRecord]:
-    """Parse a results.csv back into records (wall_time is not stored)."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: unrecognized results header")
-    records = []
-    for line in lines[1:]:
-        f = line.split(",")
-        records.append(BerRecord(float(f[0]), f[1], f[2], f[3], bool(int(f[4])),
-                                 int(f[5]), int(f[6]), int(f[7]), float(f[8]), int(f[9])))
-    return records
-
-
 def _write_manifest(path: Path, config: SimConfig | None, preset: str | None) -> Path:
     from . import __version__
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,14 +28,6 @@ PREFERRED_PAIRS = {
     3: ((1, 1, 0, 1), (1, 0, 1, 1)),              # x^3+x+1, x^3+x^2+1
     5: ((1, 0, 1, 0, 0, 1), (1, 0, 1, 1, 1, 1)),  # x^5+x^2+1, x^5+x^4+x^3+x^2+1
 }
-
-
-class GolayPair(NamedTuple):
-    """Two equal-length +-1 sequences whose aperiodic autocorrelations
-    sum to zero at every nonzero lag."""
-
-    a: np.ndarray
-    b: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,20 +189,22 @@ def orthogonal_gold_matrix(n: int) -> SpreadingMatrix:
     return SpreadingMatrix(FAMILY_GOLD, n, np.array(kept, dtype=np.int64))
 
 
-def golay_pair_tree(n: int) -> list[GolayPair]:
-    """All complementary pairs of length n from the doubling construction.
+def golay_pair_tree(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """All complementary pairs (a, b) of length n from the doubling
+    construction: two +-1 sequences whose aperiodic autocorrelations sum
+    to zero at every nonzero lag.
 
     Seed pair (++, +-); each pair (a, b) of length L spawns (a|b, a|-b)
     and (b|a, b|-a) at length 2L, so length n yields n/2 pairs.
     """
     if not _is_power_of_two(n) or n < 2:
         raise ValueError(f"pair length must be a power of two >= 2, got {n}")
-    pairs = [GolayPair(np.array([1, 1], dtype=np.int64), np.array([1, -1], dtype=np.int64))]
-    while len(pairs[0].a) < n:
+    pairs = [(np.array([1, 1], dtype=np.int64), np.array([1, -1], dtype=np.int64))]
+    while len(pairs[0][0]) < n:
         nxt = []
         for a, b in pairs:
-            nxt.append(GolayPair(np.concatenate([a, b]), np.concatenate([a, -b])))
-            nxt.append(GolayPair(np.concatenate([b, a]), np.concatenate([b, -a])))
+            nxt.append((np.concatenate([a, b]), np.concatenate([a, -b])))
+            nxt.append((np.concatenate([b, a]), np.concatenate([b, -a])))
         pairs = nxt
     return pairs
 

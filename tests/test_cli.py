@@ -197,6 +197,11 @@ class TestAxisParsing:
         ("--users", "1:3:0.5", "integer bounds and step"),
         ("--jobs", "0", "--jobs must be at least 1"),
         ("--jobs", "-2", "--jobs must be at least 1"),
+        # A value that is not a number gets the rule, not a function name.
+        ("--jobs", "2.5", "--jobs must be at least 1 (an integer), got '2.5'"),
+        ("--users", "2.5", "expected integers as a comma list or an ascending low:high"),
+        ("--snr", "abc", "expected numbers as a comma list or an ascending low:high"),
+        ("--snr", "0:x", "expected numbers as a comma list or an ascending low:high"),
     ])
     def test_bad_values_rejected_by_parser(self, capsys, flag, value, message):
         argv = ["sweep", "--snr", "0", flag, value]

@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from dwtcdma.modem import SCHEMES, bits_per_symbol, demodulate, get_scheme, modulate
+from dwtcdma.modem import SCHEMES, demodulate, get_scheme, modulate
 
 
 class TestMappings:
@@ -57,10 +57,10 @@ class TestMappings:
         assert np.array_equal(modulate(rows, "dqpsk"), expected)
 
     def test_bits_per_symbol(self):
-        assert bits_per_symbol("bpsk") == 1
-        assert bits_per_symbol("qpsk") == 2
-        assert bits_per_symbol("dbpsk") == 1
-        assert bits_per_symbol("dqpsk") == 2
+        assert get_scheme("bpsk").bits_per_symbol == 1
+        assert get_scheme("qpsk").bits_per_symbol == 2
+        assert get_scheme("dbpsk").bits_per_symbol == 1
+        assert get_scheme("dqpsk").bits_per_symbol == 2
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown modulation"):

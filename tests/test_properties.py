@@ -24,7 +24,6 @@ from dwtcdma.link import (
     LinkConfig,
     apply_awgn,
     channel_operators,
-    despread,
     link_operators,
     noise_sigma_for,
     run_link_once,
@@ -34,6 +33,7 @@ from dwtcdma.modem import SCHEMES, modulate
 from dwtcdma.sim import SimConfig, run_sweep
 from dwtcdma.spreading import FAMILIES, build_matrix
 from dwtcdma.wavelet import FAMILY_TOKENS, WaveletSpec, dwt_forward, dwt_inverse
+from test_link import despread
 
 PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None, database=None)
 NOISELESS_DB = 300.0

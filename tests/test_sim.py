@@ -18,7 +18,6 @@ from dwtcdma.sim import (
     link_config_for,
     point_seed,
     preset_config,
-    read_results,
     run_point,
     run_sweep,
     theoretical_ber,
@@ -341,10 +340,13 @@ class TestOutputs:
             BerRecord(0.0, "bpsk", "wh", "haar", True, 7, 1500, 30, 0.02, 18),
         ]
 
-    def test_csv_roundtrip(self, tmp_path):
+    def test_csv_rows(self, tmp_path):
+        # Every field but wall_time, floats as their repr, bools as 0 and 1.
         write_outputs(self.records(), tmp_path)
-        parsed = read_results(tmp_path / "results.csv")
-        assert parsed == self.records()
+        assert (tmp_path / "results.csv").read_text().splitlines()[1:] == [
+            "0.0,bpsk,wh,haar,0,7,1000,80,0.08,17",
+            "0.0,bpsk,wh,haar,1,7,1500,30,0.02,18",
+        ]
 
     def test_csv_header_schema(self, tmp_path):
         write_outputs([], tmp_path)
