@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import decimal
 import math
 import sys
 
@@ -52,6 +53,20 @@ def _parse_int_axis(text: str) -> tuple:
     if not all(v.is_integer() for v in _axis_values(text, float, "integers")):
         raise argparse.ArgumentTypeError(f"range {text} needs integer bounds and step")
     return tuple(int(v) for v in _parse_float_axis(text))
+
+
+def _integer(flag: str):
+    """The converter of an integer flag: digits or an integral exponent
+    form (1e7), read exactly, so a 20-digit seed keeps every digit."""
+    def parse(text: str) -> int:
+        with contextlib.suppress(ArithmeticError, ValueError):
+            value = decimal.Decimal(text)
+            # The exponent bound keeps 1e999999999 from building a huge int.
+            if value.is_finite() and value == value.to_integral_value() and value.adjusted() < 100:
+                return int(value)
+        raise argparse.ArgumentTypeError(
+            f"{flag} must be an integer, such as 10000000 or 1e7, got {text!r}")
+    return parse
 
 
 def _parse_jobs(text: str) -> int:
@@ -125,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     codes_sub = codes.add_subparsers(dest="codes_command", required=True)
     dump = codes_sub.add_parser("dump", help="print a chip matrix as +/- rows")
     dump.add_argument("--family", required=True, choices=spreading.FAMILIES)
-    dump.add_argument("--sf", required=True, type=int, help="spreading factor")
+    dump.add_argument("--sf", required=True, type=_integer("--sf"), help="spreading factor")
     dump.set_defaults(func=_cmd_codes_dump)
     check = codes_sub.add_parser("check", help="run all correlation invariants")
     check.set_defaults(func=lambda args: _print_checks(spreading.verify_spreading_invariants()))
@@ -147,13 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
         ("--scheme", "schemes", _parse_names, "comma list of bpsk,qpsk,dbpsk,dqpsk"),
         ("--family", "families", _parse_names, "comma list of wh,gold,gcs"),
         ("--wavelet", "wavelets", _parse_names, "comma list of haar,db2,bior22"),
-        ("--levels", "levels", int, "wavelet cascade depth"),
+        ("--levels", "levels", _integer("--levels"), "wavelet cascade depth"),
         ("--coded", "coded_flags", _parse_coded, "both, coded or uncoded"),
         ("--users", "user_counts", _parse_int_axis, "user counts"),
-        ("--sf", "spreading_factor", int, "spreading factor"),
-        ("--seed", "master_seed", int, "master seed"),
-        ("--min-errors", "min_bit_errors", int, "stop rule: target bit errors per point"),
-        ("--max-bits", "max_info_bits", int, "stop rule: information-bit budget per point"),
+        ("--sf", "spreading_factor", _integer("--sf"), "spreading factor"),
+        ("--seed", "master_seed", _integer("--seed"), "master seed"),
+        ("--min-errors", "min_bit_errors", _integer("--min-errors"),
+         "stop rule: target bit errors per point"),
+        ("--max-bits", "max_info_bits", _integer("--max-bits"),
+         "stop rule: information-bit budget per point"),
     ):
         value = default[dest]
         shown = ",".join(map(str, value)) if isinstance(value, tuple) else value

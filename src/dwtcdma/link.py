@@ -45,14 +45,15 @@ Only the noise the detector reads is drawn.  modulate returns the real
 dimensions (rails) its decision reads: one for BPSK, whose coherent
 decision reads Re(y) alone (the imaginary noise is independent of the
 real noise), and two for the others (DBPSK decides on Re(y[n] y*[n-1]),
-which contains Im*Im).  The link adds noise to the rails it is given.
+which contains Im*Im).  apply_awgn, the chain's only noise stage, adds
+noise to the rails it is given.
 
 Randomness: the link draws only noise, from the generator it is given,
 after the caller has drawn the payload from it (sim.run_point draws from
 an SFC64 generator).  The noise of a link run is one standard-normal
-draw of shape (dims, blocks, U*G), dims being the symbols' rail count:
-the real parts first and then, for complex symbols (dims = 2), the
-imaginary parts.
+draw by apply_awgn, of shape (dims, blocks, U*G), dims being the
+symbols' rail count: the real parts first and then, for complex symbols
+(dims = 2), the imaginary parts.
 """
 
 from __future__ import annotations
@@ -254,9 +255,9 @@ def _scratch(shape) -> tuple[np.ndarray, np.ndarray]:
     return arrays[0][:size].reshape(shape), arrays[1][:size].reshape(shape)
 
 
-def _receive(symbols: np.ndarray, config: LinkConfig, rng: np.random.Generator) -> np.ndarray:
+def apply_awgn(symbols: np.ndarray, config: LinkConfig, rng: np.random.Generator) -> np.ndarray:
     """The despread symbols of a chunk: symbols (U, blocks*G) plus the
-    link's noise, in scratch memory.
+    link's noise, in scratch memory.  The chain's only noise stage.
 
     The noise is one draw of one value per rail of each despread symbol
     (see the module docstring), coloured by C_w unless channel_operators
@@ -282,18 +283,6 @@ def _receive(symbols: np.ndarray, config: LinkConfig, rng: np.random.Generator) 
     return received.reshape(n_users, -1).view(symbols.dtype)
 
 
-def apply_awgn(signal, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Add independent Gaussian noise of std sigma per real dimension: one
-    standard-normal draw of shape (2, *signal.shape), the real parts
-    first and then the imaginary parts.  The time-domain channel of the
-    reference cascade; run_link_once adds its noise after despreading."""
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    x = np.asarray(signal, dtype=np.complex128)
-    noise = sigma * rng.standard_normal((2, *x.shape))
-    return x + (noise[0] + 1j * noise[1])
-
-
 def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     """Run the full chain on one batch of per-user payloads.
 
@@ -302,7 +291,7 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     The coded bits are padded with zeros to whole blocks of symbols and
     the padding is stripped after detection; trailing symbols cannot
     change an earlier decision, differential ones included.  The noise
-    and the received symbols live in scratch memory (see _receive).
+    and the received symbols live in scratch memory (see apply_awgn).
     """
     bits = np.asarray(info_bits)  # not cast: encode_stream or _as_bits checks the values
     if bits.ndim != 2 or bits.shape[0] != config.num_users or bits.shape[1] == 0:
@@ -318,8 +307,8 @@ def run_link_once(info_bits, config: LinkConfig, rng: np.random.Generator):
     padded = np.zeros((n_users, n_blocks * block_bits), dtype=np.uint8)
     padded[:, :n_coded] = tx_bits
     symbols = modulate(padded, scheme)
-    received = _receive(symbols, config, rng)
-    del symbols  # freed before detection (see _receive)
+    received = apply_awgn(symbols, config, rng)
+    del symbols  # freed before detection (see apply_awgn)
     hard = demodulate(received, scheme)[:, :n_coded]
     decoded = fec.decode_stream(hard, n_info) if config.coded else hard
     errors = int(np.count_nonzero(decoded != bits))

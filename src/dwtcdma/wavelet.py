@@ -44,12 +44,13 @@ class WaveletSpec:
             raise ValueError(f"unknown wavelet family {self.family!r} (choose from {FAMILY_TOKENS})")
         _check_integer("block_size", self.block_size)
         _check_integer("levels", self.levels)
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
-        if self.block_size % (1 << self.levels) or self.block_size < 2:
-            raise ValueError(
-                f"block size {self.block_size} is not a positive multiple of 2^{self.levels}"
-            )
+        if self.block_size < 2 or self.block_size % 2:
+            raise ValueError(f"block size {self.block_size} is not a positive multiple of 2")
+        # A level halves the block, so the depth is the block's count of factors 2.
+        depth = (self.block_size & -self.block_size).bit_length() - 1
+        if not 1 <= self.levels <= depth:
+            raise ValueError(f"levels must be in 1..{depth} for a {self.block_size}-point "
+                             f"block, got {self.levels}")
 
 
 @dataclass(frozen=True, eq=False)

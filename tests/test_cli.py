@@ -159,6 +159,11 @@ class TestSweepCommand:
         (["--max-bits", "5000"], {"max_info_bits": 5000}),
         (["--total-power"], {"total_power": True}),
         (["--preset", "fig7", "--max-bits", "100"], None),
+        # Integer flags read integral exponent forms, and every digit of a seed.
+        (["--max-bits", "1e7", "--min-errors", "1E2", "--sf", "1.6e1", "--family", "wh",
+          "--levels", "3.0"], {"max_info_bits": 10**7, "min_bit_errors": 100,
+                               "spreading_factor": 16, "families": ("wh",), "levels": 3}),
+        (["--seed", "12345678901234567891"], {"master_seed": 12345678901234567891}),
     ])
     def test_flags_map_onto_config_fields(self, tmp_path, monkeypatch, args, fields):
         # Only the flags given reach the config; every other field keeps
@@ -202,6 +207,8 @@ class TestAxisParsing:
         ("--users", "2.5", "expected integers as a comma list or an ascending low:high"),
         ("--snr", "abc", "expected numbers as a comma list or an ascending low:high"),
         ("--snr", "0:x", "expected numbers as a comma list or an ascending low:high"),
+        ("--max-bits", "2.5", "--max-bits must be an integer, such as 10000000 or 1e7, got '2.5'"),
+        ("--seed", "1e-3", "--seed must be an integer, such as 10000000 or 1e7, got '1e-3'"),
     ])
     def test_bad_values_rejected_by_parser(self, capsys, flag, value, message):
         argv = ["sweep", "--snr", "0", flag, value]
@@ -216,6 +223,8 @@ class TestAxisParsing:
         ("--snr", "0,0", "duplicate"),
         ("--scheme", "bpsk,BPSK", "duplicate"),
         ("--snr", "-4000", "snr_db must be finite and not so low"),
+        # The depth rule, not a block size the CLI cannot set.
+        ("--levels", "9", "levels must be in 1..8 for a 256-point block, got 9"),
     ])
     def test_invalid_grid_fails_before_first_point(self, tmp_path, capsys, monkeypatch,
                                                    flag, value, message):

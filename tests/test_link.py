@@ -154,40 +154,51 @@ class TestNoiseSigma:
 
 
 class TestApplyAwgn:
-    def test_zero_sigma_identity(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert np.array_equal(apply_awgn(x, 0.0, rng), x)
+    """The chain's noise stage: symbols (U, blocks*G) plus sigma z C_w."""
 
-    def test_sample_variance(self):
-        rng = np.random.default_rng(6)
-        x = np.zeros(1_000_000, dtype=complex)
-        noisy = apply_awgn(x, 0.7, rng)
-        assert np.var(noisy.real) == pytest.approx(0.49, rel=0.01)
-        assert np.var(noisy.imag) == pytest.approx(0.49, rel=0.01)
+    @staticmethod
+    def symbols(cfg, blocks, seed=30):
+        n_bits = blocks * cfg.symbols_per_block * cfg.scheme.bits_per_symbol
+        bits = np.random.default_rng(seed).integers(0, 2, (cfg.num_users, n_bits), dtype=np.uint8)
+        return modulate(bits, cfg.scheme)
 
-    def test_deterministic_given_seed(self):
-        x = np.ones(100, dtype=complex)
-        a = apply_awgn(x, 0.3, np.random.default_rng(7))
-        b = apply_awgn(x, 0.3, np.random.default_rng(7))
-        assert np.array_equal(a, b)
-
-    def test_equals_noise_helper_halves(self):
-        x = np.arange(6, dtype=complex).reshape(2, 3)
-        noise = 0.3 * np.random.default_rng(7).standard_normal((2, *x.shape))
-        assert np.array_equal(apply_awgn(x, 0.3, np.random.default_rng(7)),
-                              x + (noise[0] + 1j * noise[1]))
+    @pytest.mark.parametrize("wavelet", ["haar", "bior22"])
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    def test_one_draw_per_rail_of_each_despread_symbol(self, scheme, wavelet):
+        # 3 users over 5 blocks of G = 32 slots: one (dims, 5, 96) draw.
+        cfg = config(users=3, wavelet=wavelet, scheme=scheme, snr_db=3.0)
+        symbols = self.symbols(cfg, 5)
+        rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+        received = apply_awgn(symbols, cfg, rng)
+        twin.standard_normal((1 if scheme == "bpsk" else 2, 5, 96))
+        assert rng.random() == twin.random()
+        assert received.shape == symbols.shape and received.dtype == symbols.dtype
 
     def test_one_draw_is_real_parts_then_imaginary_parts(self):
-        rng = np.random.default_rng(8)
-        separate = [rng.standard_normal(50), rng.standard_normal(50)]
-        noisy = apply_awgn(np.zeros(50, dtype=complex), 1.0, np.random.default_rng(8))
-        assert np.array_equal([noisy.real, noisy.imag], separate)
+        # Over haar C is the identity, so the noise is sigma z itself; slot
+        # k*G + g of block b is user k's symbol b*G + g.
+        cfg = config(users=3, scheme="qpsk", snr_db=3.0)
+        symbols = self.symbols(cfg, 5)
+        z = cfg.noise_sigma * np.random.default_rng(32).standard_normal((2, 5, 96))
+        noise = z.reshape(2, 5, 3, 32).transpose(0, 2, 1, 3).reshape(2, 3, 160)
+        received = apply_awgn(symbols, cfg, np.random.default_rng(32))
+        assert np.array_equal(received.real, symbols.real + noise[0])
+        assert np.array_equal(received.imag, symbols.imag + noise[1])
 
-    def test_rejects_negative_sigma(self):
-        for sigma in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
-                apply_awgn(np.zeros(4, dtype=complex), sigma, np.random.default_rng(0))
+    def test_sample_variance(self):
+        cfg = config(users=7, scheme="qpsk", snr_db=3.0)
+        received = apply_awgn(np.zeros((7, 32 * 2000), dtype=complex), cfg,
+                              np.random.default_rng(6))
+        assert np.var(received.real) == pytest.approx(cfg.noise_sigma**2, rel=0.01)
+        assert np.var(received.imag) == pytest.approx(cfg.noise_sigma**2, rel=0.01)
+
+    def test_deterministic_given_seed(self):
+        cfg = config(users=3, wavelet="bior22", scheme="qpsk", snr_db=3.0)
+        symbols = self.symbols(cfg, 4)
+        # The result lives in scratch memory, which the next call reuses.
+        a = apply_awgn(symbols, cfg, np.random.default_rng(7)).copy()
+        b = apply_awgn(symbols, cfg, np.random.default_rng(7))
+        assert np.array_equal(a, b)
 
 
 class TestLinkConfig:

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 from dwtcdma import link
 from dwtcdma.link import (
     LinkConfig,
-    apply_awgn,
     channel_operators,
     link_operators,
     noise_sigma_for,
@@ -124,7 +123,8 @@ def test_cascade_noise_law_matches_factor():
     rng = np.random.default_rng(2024)
     symbols = _complex(rng, (4000, users, group))
     tx = dwt_inverse(np.stack([spread_multiplex(s, spreading) for s in symbols]), wavelet)
-    coeffs = dwt_forward(apply_awgn(tx, sigma, rng), wavelet)
+    awgn = sigma * rng.standard_normal((2, *tx.shape))  # real parts, then imaginary parts
+    coeffs = dwt_forward(tx + (awgn[0] + 1j * awgn[1]), wavelet)
     rx = np.stack([despread(coeffs, spreading, k) for k in range(users)], axis=1)
 
     c = channel_operators(spreading, wavelet)[1][: users * group, : users * group]
@@ -208,7 +208,8 @@ def test_user_zero_independent_of_interferers(config, n, seed):
 def test_invalid_configs_rejected(spreading, wavelet, excess, gold_sf):
     with pytest.raises(ValueError, match="preferred pair"):
         build_matrix("gold", gold_sf)
-    with pytest.raises(ValueError, match="not a positive multiple"):
+    depth_rule = rf"levels must be in 1\.\.8 for a 256-point block, got {8 + excess}$"
+    with pytest.raises(ValueError, match=depth_rule):
         WaveletSpec(wavelet, levels=8 + excess)
     with pytest.raises(ValueError, match="num_users"):
         LinkConfig(spreading, WaveletSpec(wavelet), "bpsk", spreading.spreading_factor + excess)

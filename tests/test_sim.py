@@ -110,6 +110,25 @@ class TestRunPoint:
         run_point(PointSpec(4.0, "dbpsk", "wh", "bior22", True, 7), 10**6, 50_000, seed=3)
         assert len(chunks) == 3 and calls == [4.0]
 
+    def test_noise_stage_runs_once_per_chunk(self, monkeypatch):
+        # link.apply_awgn is the chain's only noise stage: every chunk of a
+        # point passes through it once, under the name a tracer wraps.
+        chunks, noise = [], []
+        apply_awgn = link.apply_awgn
+
+        def chunk(*args):
+            chunks.append(args[0].shape)
+            return run_link_once(*args)
+
+        def counted(symbols, config, rng):
+            noise.append(symbols.shape)
+            return apply_awgn(symbols, config, rng)
+
+        monkeypatch.setattr(link, "apply_awgn", counted)
+        monkeypatch.setattr(sim, "run_link_once", chunk)
+        run_point(PointSpec(4.0, "qpsk", "wh", "bior22", True, 7), 10**6, 50_000, seed=3)
+        assert len(chunks) == 3 and len(noise) == 3
+
     def test_gold_sf16_rejected(self):
         with pytest.raises(ValueError, match="degree 4"):
             run_point(PointSpec(0.0, "bpsk", "gold", "haar", False, 7, 16), 1, 100, 0)
