@@ -23,28 +23,45 @@ def _axis_values(text: str, convert, kind: str) -> list:
     """The values of a comma list, or the bounds and step of a range, as
     convert reads them; an error states the rule."""
     parts = text.split(":") if ":" in text else text.split(",")
-    with contextlib.suppress(ValueError):
+    with contextlib.suppress(ArithmeticError, ValueError):
         if ":" not in text or len(parts) in (2, 3):
             return [convert(p) for p in parts]
     raise argparse.ArgumentTypeError(f"expected {kind} as {_AXIS_RULE}, got {text!r}")
 
 
+# Far more points than a sweep axis needs; a longer range is a slip.
+_MAX_RANGE_POINTS = 10_000
+
+
 def _parse_float_axis(text: str) -> tuple:
     """Accept ascending 'a:b[:step]' ranges, which never pass b, or
-    comma-separated values."""
-    values = _axis_values(text, float, "numbers")
+    comma-separated values.
+
+    A range is read and stepped in decimal, so its points are the numbers
+    as written: 0:0.3:0.1 gives 0.1, 0.2 and 0.3, as the list
+    0,0.1,0.2,0.3 does, and stop lies on the grid exactly when a step
+    reaches it.  Bounds and step must be finite floats, and a range may
+    hold at most _MAX_RANGE_POINTS points.
+    """
     if ":" not in text:
-        return tuple(values)
-    start, stop, step = values if len(values) == 3 else values + [1.0]
-    if not all(math.isfinite(p) for p in (start, stop, step)):
+        return tuple(_axis_values(text, float, "numbers"))
+    values = _axis_values(text, decimal.Decimal, "numbers")
+    start, stop, step = values if len(values) == 3 else values + [decimal.Decimal(1)]
+    if not all(p.is_finite() and math.isfinite(p) for p in (start, stop, step)):
         raise argparse.ArgumentTypeError("range bounds and step must be finite")
-    if step <= 0:
+    # A step that rounds to the float 0 is refused, which keeps the count
+    # below within Decimal's exponent range.
+    if not float(step) > 0:
         raise argparse.ArgumentTypeError("step must be positive")
     if stop < start:
         raise argparse.ArgumentTypeError(f"range {text} descends; write it as low:high")
-    # The slack keeps a stop that lies on the grid, such as 0.3 in 0:0.3:0.1.
-    count = math.floor((stop - start) / step + 1e-9) + 1
-    return tuple(start + i * step for i in range(count))
+    if stop - start >= step * _MAX_RANGE_POINTS:
+        count = ((stop - start) / step).to_integral_value(decimal.ROUND_FLOOR) + 1
+        raise argparse.ArgumentTypeError(
+            f"range {text} holds {count} points, more than the {_MAX_RANGE_POINTS} "
+            "a range may hold")
+    count = int((stop - start) // step) + 1
+    return tuple(float(start + i * step) for i in range(count))
 
 
 def _parse_int_axis(text: str) -> tuple:

@@ -35,8 +35,9 @@ unit-energy and mutually uncorrelated, so a symbol sends on average
 ||T_w||_F^2 / w, the mean of the first w row energies |T[k]|^2; that
 constant sets sigma.  For the orthonormal wavelets C is the identity and
 the energies are exactly 1, so sigma takes its closed form and is the
-same for every code family; channel_operators decides that once from
-the operator, and the link then uses sigma z itself, with no product.
+same for every code family; channel_operators reads that from the filter
+bank, which records whether it is orthonormal, and builds no operator
+there; the link then uses sigma z itself, with no product.
 (energies, C) is built once per (code rows, wavelet) and cached by value.
 sigma and C_w are constants of the link: LinkConfig computes them once,
 when it is built, and every chunk reads them.
@@ -68,7 +69,7 @@ import numpy as np
 from . import fec
 from .modem import ModulationScheme, get_scheme, modulate, demodulate
 from .spreading import SpreadingMatrix, _check_integer
-from .wavelet import WaveletSpec, dwt_forward, dwt_inverse
+from .wavelet import WaveletSpec, dwt_forward, dwt_inverse, filter_bank
 
 
 @dataclass(frozen=True)
@@ -192,20 +193,21 @@ def channel_operators(spreading: SpreadingMatrix,
     is the energy a unit symbol in position k sends, and z @ C with z iid
     N(0, 1) has the law of white unit noise seen through R.  The first w
     energies and the leading w x w block of C serve the first w symbols.
-    C is None when no entry of C - I exceeds 1e-12 (haar and db2 stay
-    within 3e-15; bior22 departs by 0.2 or more), decided here from the
-    operator, so the link skips the product.  R is then orthogonal and
-    T = R^T, so every energy is exactly 1.0 rather than its rounded sum.
-    Cached by value; the arrays are read-only.
+    Over an orthonormal filter bank (haar, db2) nothing is built: the
+    cascade is orthogonal, and SpreadingMatrix certifies orthogonal code
+    rows, so R is orthogonal and T = R^T.  C is then the identity,
+    returned as None so that the link skips the product, and every energy
+    is exactly 1.0.  Only a biorthogonal bank (bior22) builds (T, R) and
+    factors R^T R.  Cached by value; the arrays are read-only.
     """
     key = (spreading.rows.tobytes(), wavelet)
     if key not in _OPERATORS:
-        synthesis, despreading = link_operators(spreading, wavelet)
-        factor = np.linalg.cholesky(despreading.T @ despreading).T
-        if np.max(np.abs(factor - np.eye(len(factor)))) <= 1e-12:
-            energies, factor = np.ones(len(factor)), None
+        if filter_bank(wavelet.family).orthonormal:
+            energies, factor = np.ones(wavelet.block_size), None
         else:
+            synthesis, despreading = link_operators(spreading, wavelet)
             energies = np.einsum("ij,ij->i", synthesis, synthesis)
+            factor = np.linalg.cholesky(despreading.T @ despreading).T
             factor.setflags(write=False)
         energies.setflags(write=False)
         _OPERATORS[key] = (energies, factor)
@@ -260,9 +262,10 @@ def apply_awgn(symbols: np.ndarray, config: LinkConfig, rng: np.random.Generator
     link's noise, in scratch memory.  The chain's only noise stage.
 
     The noise is one draw of one value per rail of each despread symbol
-    (see the module docstring), coloured by C_w unless channel_operators
-    found C to be the identity.  The sum goes to the scratch array the
-    noise does not occupy, so the symbols are freed before detection.
+    (see the module docstring), coloured by C_w unless C is the identity
+    (an orthonormal filter bank, see channel_operators).  The sum goes to
+    the scratch array the noise does not occupy, so the symbols are freed
+    before detection.
     """
     n_users, n_symbols = symbols.shape
     group = config.symbols_per_block

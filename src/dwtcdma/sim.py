@@ -283,8 +283,14 @@ def theoretical_ber(scheme, ebn0_db: float) -> float:
     difference of the Marcum-Q function and the Bessel term that it
     replaces cancels catastrophically at high Eb/N0 (it turned negative
     from 29.5 dB on).
+
+    ebn0_db is read as SimConfig reads an SNR, and NaN is an error; the
+    limits hold at -inf (0.5) and +inf (0.0).
     """
     sch = get_scheme(scheme)
+    ebn0_db = _as_snr(ebn0_db)
+    if math.isnan(ebn0_db):
+        raise ValueError("ebn0_db must not be NaN")
     # Every curve is 0 long before the cap, which keeps the power finite.
     gamma = 10.0 ** min(ebn0_db / 10.0, 300.0)
     if not sch.differential:

@@ -66,11 +66,22 @@ class Filter:
 
 @dataclass(frozen=True, eq=False)
 class FilterBank:
+    """Analysis and synthesis filters of one wavelet family.
+
+    orthonormal records that one periodized analysis level is an
+    orthogonal matrix, so that synthesis, its inverse, is its transpose
+    and every cascade of the bank is orthogonal; _validate_bank certifies
+    it.  The
+    link relies on it: over such a bank and orthogonal codes the channel
+    is the identity (see link.channel_operators).
+    """
+
     family: str
     analysis_lowpass: Filter
     analysis_highpass: Filter
     synthesis_lowpass: Filter
     synthesis_highpass: Filter
+    orthonormal: bool
 
 
 def _orthonormal_bank(family: str, lowpass: np.ndarray) -> FilterBank:
@@ -80,7 +91,7 @@ def _orthonormal_bank(family: str, lowpass: np.ndarray) -> FilterBank:
     highpass = np.array([(-1) ** t * lowpass[n - 1 - t] for t in range(n)])
     lp = Filter(lowpass, 0)
     hp = Filter(highpass, 0)
-    return FilterBank(family, lp, hp, lp, hp)
+    return FilterBank(family, lp, hp, lp, hp, orthonormal=True)
 
 
 @lru_cache(maxsize=None)
@@ -104,6 +115,7 @@ def filter_bank(family: str) -> FilterBank:
             analysis_highpass=Filter(rt2 * np.array([1, -2, 1]) / 4.0, 0),
             synthesis_lowpass=Filter(rt2 * np.array([1, 2, 1]) / 4.0, -1),
             synthesis_highpass=Filter(rt2 * np.array([1, 2, -6, 2, 1]) / 8.0, -1),
+            orthonormal=False,
         )
     else:
         raise ValueError(f"unknown wavelet family {family!r} (choose from {FAMILY_TOKENS})")
@@ -116,16 +128,20 @@ def _validate_bank(bank: FilterBank) -> None:
     hp = bank.analysis_highpass.taps
     if abs(lp.sum() - np.sqrt(2.0)) > 1e-12:
         raise AssertionError(f"{bank.family}: lowpass does not sum to sqrt(2)")
-    if bank.family in ("haar", "db2"):
-        if abs(np.dot(lp, lp) - 1.0) > 1e-12:
-            raise AssertionError(f"{bank.family}: lowpass is not unit-norm")
-        if abs(hp.sum()) > 1e-10 or (
-            bank.family == "db2" and abs(np.dot(np.arange(len(hp)), hp)) > 1e-10
-        ):
-            raise AssertionError(f"{bank.family}: highpass moment conditions violated")
-    # Perfect reconstruction of one level, A_lo^T S_lo + A_hi^T S_hi = I, at
-    # a length smaller than the default block so that every tap wraps.
+    # The matrix checks run at a length smaller than the default block, so
+    # that every tap wraps.
     n = 16
+    if bank.orthonormal:
+        level = np.vstack([_level_matrix(n, bank.analysis_lowpass),
+                           _level_matrix(n, bank.analysis_highpass)])
+        if np.max(np.abs(level @ level.T - np.eye(n))) > 1e-12:
+            raise AssertionError(f"{bank.family}: analysis filters are not orthonormal")
+        # A Daubechies highpass of 2p taps has p vanishing moments.
+        moments = np.arange(len(hp)) ** np.arange(len(hp) // 2)[:, None] @ hp
+        if np.max(np.abs(moments)) > 1e-10:
+            raise AssertionError(f"{bank.family}: highpass moment conditions violated")
+    # Perfect reconstruction of one level, A_lo^T S_lo + A_hi^T S_hi = I;
+    # with an orthogonal analysis level it makes synthesis its transpose.
     identity = sum(_level_matrix(n, analysis).T @ _level_matrix(n, synthesis)
                    for analysis, synthesis in ((bank.analysis_lowpass, bank.synthesis_lowpass),
                                                (bank.analysis_highpass, bank.synthesis_highpass)))

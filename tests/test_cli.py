@@ -189,10 +189,28 @@ class TestAxisParsing:
         assert _parse_float_axis("0:2:0.7") == (0.0, 0.7, 1.4)
 
     def test_stop_on_the_grid_is_kept(self):
-        assert _parse_float_axis("0:0.3:0.1") == tuple(i * 0.1 for i in range(4))
+        assert _parse_float_axis("0:0.3:0.1") == (0.0, 0.1, 0.2, 0.3)
         assert _parse_float_axis("-10:2:4") == (-10.0, -6.0, -2.0, 2.0)
         assert _parse_float_axis("0:20") == tuple(float(i) for i in range(21))
         assert _parse_float_axis("3:3") == (3.0,)
+
+    def test_range_and_list_of_the_same_snrs_agree(self, tmp_path):
+        # Equal SNRs give equal point seeds, so the two grids write equal rows.
+        csv = []
+        for snr in ("0:0.3:0.1", "0,0.1,0.2,0.3"):
+            out = tmp_path / snr.replace(":", "_")
+            argv = ["sweep", "--snr", snr, "--scheme", "bpsk", "--family", "wh",
+                    "--coded", "uncoded", "--users", "1", "--max-bits", "200", "--out", str(out)]
+            assert main(argv) == 0
+            csv.append((out / "results.csv").read_bytes())
+        assert csv[0] == csv[1]
+
+    def test_huge_range_refused_before_it_is_built(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--snr", "0:1e9:1e-9"])
+        assert exit_info.value.code == 2
+        assert ("range 0:1e9:1e-9 holds 1000000000000000001 points, more than the 10000"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--snr", "5:0:1", "descends"),

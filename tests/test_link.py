@@ -9,6 +9,7 @@ from dwtcdma.link import (
     LinkConfig,
     apply_awgn,
     channel_operators,
+    link_operators,
     noise_sigma_for,
     run_link_once,
     spread_multiplex,
@@ -243,9 +244,10 @@ class TestChannelOperators:
     @pytest.mark.parametrize("family", ["wh", "gold", "gcs"])
     @pytest.mark.parametrize("wavelet", ["haar", "db2", "bior22"])
     def test_identity_factor_decided_from_operator(self, wavelet, family, sf):
-        # The orthonormal wavelets keep R^T R = I, so C is the identity and
-        # is stored as None; bior22's R is not orthogonal, and its factor
-        # is kept as a read-only upper-triangular matrix.
+        # An orthonormal filter bank makes R orthogonal, so C is the
+        # identity, read from the bank and stored as None; bior22's R is
+        # not orthogonal, and its factor is kept as a read-only
+        # upper-triangular matrix.
         energies, factor = channel_operators(build_matrix(family, sf), WaveletSpec(wavelet))
         if wavelet == "bior22":
             assert factor.shape == (256, 256) and not factor.flags.writeable
@@ -266,6 +268,31 @@ class TestChannelOperators:
             assert factor is not None
         else:
             assert factor is None and np.array_equal(energies, np.ones(256))
+
+    @pytest.mark.parametrize("sf", [8, 32])
+    @pytest.mark.parametrize("family", ["wh", "gold", "gcs"])
+    @pytest.mark.parametrize("wavelet", ["haar", "db2"])
+    def test_orthonormal_bank_builds_no_operator(self, monkeypatch, wavelet, family, sf):
+        def unreachable(*args):
+            raise AssertionError("an operator was built")
+
+        monkeypatch.setattr(link, "_OPERATORS", {})
+        monkeypatch.setattr(link, "link_operators", unreachable)
+        energies, factor = channel_operators(build_matrix(family, sf), WaveletSpec(wavelet))
+        assert factor is None and np.array_equal(energies, np.ones(256))
+        assert not energies.flags.writeable
+
+    @pytest.mark.parametrize("levels", [3, 8])
+    @pytest.mark.parametrize("sf", [8, 32])
+    @pytest.mark.parametrize("family", ["wh", "gold", "gcs"])
+    @pytest.mark.parametrize("wavelet", ["haar", "db2"])
+    def test_orthonormal_bank_gives_orthogonal_operators(self, wavelet, family, sf, levels):
+        # The premise channel_operators takes from the bank without
+        # building anything: R^T R = I and T = R^T.
+        synthesis, despreading = link_operators(build_matrix(family, sf),
+                                                WaveletSpec(wavelet, levels=levels))
+        assert np.max(np.abs(despreading.T @ despreading - np.eye(256))) <= 1e-12
+        assert np.max(np.abs(synthesis - despreading.T)) <= 1e-12
 
 
 class TestRunLinkOnce:

@@ -311,6 +311,19 @@ class TestTheory:
         assert theoretical_ber(scheme, -4000.0) == pytest.approx(0.5, rel=1e-12)
 
     @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
+    def test_nan_snr_rejected(self, scheme):
+        with pytest.raises(ValueError, match="ebn0_db must not be NaN"):
+            theoretical_ber(scheme, math.nan)
+        assert theoretical_ber(scheme, -math.inf) == pytest.approx(0.5, rel=1e-12)
+        assert theoretical_ber(scheme, math.inf) == 0.0
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False)])
+    def test_bool_snr_rejected(self, value):
+        # A bool is not 1 dB (or 0 dB), as SimConfig rules.
+        with pytest.raises(ValueError, match="snr_db must hold numbers"):
+            theoretical_ber("bpsk", value)
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
     def test_nonnegative_and_nonincreasing(self, scheme):
         values = [theoretical_ber(scheme, 0.5 * i) for i in range(61)]
         assert min(values) >= 0.0

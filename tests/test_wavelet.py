@@ -7,6 +7,7 @@ from dwtcdma.wavelet import (
     FAMILY_TOKENS,
     Filter,
     WaveletSpec,
+    _orthonormal_bank,
     _validate_bank,
     dwt_forward,
     dwt_inverse,
@@ -54,6 +55,15 @@ class TestFilterBank:
         broken = replace(bank, synthesis_highpass=Filter(taps, bank.synthesis_highpass.origin))
         with pytest.raises(AssertionError, match="not perfectly reconstructing"):
             _validate_bank(broken)
+
+    @pytest.mark.parametrize("bank", [
+        replace(filter_bank("bior22"), orthonormal=True),
+        _orthonormal_bank("haar", np.array([0.5, np.sqrt(2) - 0.5])),
+    ], ids=["bior22", "haar-not-unit-norm"])
+    def test_orthonormal_flag_is_certified(self, bank):
+        # Both lowpasses sum to sqrt(2), but neither has unit norm.
+        with pytest.raises(AssertionError, match="analysis filters are not orthonormal"):
+            _validate_bank(bank)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown wavelet"):
