@@ -38,7 +38,8 @@ the energies are exactly 1, so sigma takes its closed form and is the
 same for every code family; channel_operators reads that from the filter
 bank, which records whether it is orthonormal, and builds no operator
 there; the link then uses sigma z itself, with no product.
-(energies, C) is built once per (code rows, wavelet) and cached by value.
+(energies, C) is built once per (code rows, wavelet) and cached by value;
+the build frees each array of the cascade once it has served.
 sigma and C_w are constants of the link: LinkConfig computes them once,
 when it is built, and every chunk reads them.
 
@@ -155,7 +156,8 @@ def spread_multiplex(user_symbols, spreading: SpreadingMatrix) -> np.ndarray:
     if n_users > sf:
         raise ValueError(f"{n_users} users exceed the {sf} available code rows")
     rows = spreading.rows[:n_users].astype(np.float64)
-    blocks = np.einsum("...kg,kj->...gj", s, rows) / np.sqrt(sf)
+    blocks = np.einsum("...kg,kj->...gj", s, rows)
+    blocks /= np.sqrt(sf)
     return blocks.reshape(s.shape[:-2] + (-1,))
 
 
@@ -172,12 +174,26 @@ def link_operators(spreading: SpreadingMatrix,
     and R is the analysed identity times it.  Built anew on each call,
     from the reference cascade; the link itself uses channel_operators.
     """
+    return _synthesis(spreading, wavelet), _despreading(spreading, wavelet)
+
+
+def _spread_identity(spreading: SpreadingMatrix, wavelet: WaveletSpec) -> np.ndarray:
+    """Row k*G + g: symbol k*G + g alone, spread onto a coefficient block."""
     sf = spreading.spreading_factor
     group = wavelet.block_size // sf
-    spread = spread_multiplex(np.eye(sf * group).reshape(-1, sf, group), spreading)
-    synthesis = dwt_inverse(spread, wavelet)
-    despreading = dwt_forward(np.eye(wavelet.block_size), wavelet) @ spread.T
-    return synthesis, despreading
+    return spread_multiplex(np.eye(sf * group).reshape(-1, sf, group), spreading)
+
+
+def _synthesis(spreading: SpreadingMatrix, wavelet: WaveletSpec) -> np.ndarray:
+    """T of link_operators."""
+    return dwt_inverse(_spread_identity(spreading, wavelet), wavelet)
+
+
+def _despreading(spreading: SpreadingMatrix, wavelet: WaveletSpec) -> np.ndarray:
+    """R of link_operators.  The analysed identity comes first, so that
+    its temporaries are gone before the spread identity is built."""
+    analysed = dwt_forward(np.eye(wavelet.block_size), wavelet)
+    return analysed @ _spread_identity(spreading, wavelet).T
 
 
 # (energies, C) per (code rows, wavelet).  SpreadingMatrix compares by
@@ -197,17 +213,24 @@ def channel_operators(spreading: SpreadingMatrix,
     cascade is orthogonal, and SpreadingMatrix certifies orthogonal code
     rows, so R is orthogonal and T = R^T.  C is then the identity,
     returned as None so that the link skips the product, and every energy
-    is exactly 1.0.  Only a biorthogonal bank (bior22) builds (T, R) and
-    factors R^T R.  Cached by value; the arrays are read-only.
+    is exactly 1.0.  Only a biorthogonal bank (bior22) builds T and R,
+    one at a time: T is freed once its row energies are taken, and R once
+    R^T R is formed, so at most three 256 x 256 arrays are alive at once.
+    The values are those of link_operators, bit for bit.  Cached by value;
+    the arrays are read-only.
     """
     key = (spreading.rows.tobytes(), wavelet)
     if key not in _OPERATORS:
         if filter_bank(wavelet.family).orthonormal:
             energies, factor = np.ones(wavelet.block_size), None
         else:
-            synthesis, despreading = link_operators(spreading, wavelet)
+            synthesis = _synthesis(spreading, wavelet)
             energies = np.einsum("ij,ij->i", synthesis, synthesis)
-            factor = np.linalg.cholesky(despreading.T @ despreading).T
+            del synthesis
+            despreading = _despreading(spreading, wavelet)
+            gram = despreading.T @ despreading
+            del despreading
+            factor = np.linalg.cholesky(gram).T
             factor.setflags(write=False)
         energies.setflags(write=False)
         _OPERATORS[key] = (energies, factor)
@@ -270,19 +293,24 @@ def apply_awgn(symbols: np.ndarray, config: LinkConfig, rng: np.random.Generator
     n_users, n_symbols = symbols.shape
     group = config.symbols_per_block
     n_blocks = n_symbols // group
-    # The symbols' rails as a (dims, U, blocks, G) view; slot k*G + g of
-    # block b of the noise belongs to user k's symbol b*G + g.
-    rails = symbols.view(np.float64).reshape(n_users, n_blocks, group, -1).transpose(3, 0, 1, 2)
-    dims = len(rails)
+    # The symbols' rails as (U, blocks, G, dims); slot k*G + g of block b
+    # of the noise belongs to user k's symbol b*G + g.
+    values = symbols.view(np.float64).reshape(n_users, n_blocks, group, -1)
+    dims = values.shape[-1]
     noise, free = _scratch((dims, n_blocks, n_users * group))
     rng.standard_normal(out=noise)
-    noise *= config.noise_sigma
+    scale = config.noise_sigma
     if config.noise_factor is not None:
-        # Once coloured, the draw is spent and its array takes the sum.
-        noise, free = np.matmul(noise, config.noise_factor, out=free), noise
-    received = free.reshape(n_users, n_blocks, group, dims)
-    np.add(rails, noise.reshape(dims, n_blocks, n_users, group).transpose(0, 2, 1, 3),
-           out=received.transpose(3, 0, 1, 2))
+        noise *= scale
+        # Once coloured, the draw is spent and its array takes the sum;
+        # sigma is already in the coloured noise, and x * 1.0 is exact.
+        noise, free, scale = np.matmul(noise, config.noise_factor, out=free), noise, 1.0
+    # The noise goes straight into the received layout in one strided
+    # pass, and the symbols are then added in one contiguous pass.
+    received = free.reshape(values.shape)
+    np.multiply(noise.reshape(dims, n_blocks, n_users, group).transpose(0, 2, 1, 3), scale,
+                out=received.transpose(3, 0, 1, 2))
+    received += values
     return received.reshape(n_users, -1).view(symbols.dtype)
 
 

@@ -5,12 +5,12 @@ A scheme is data: its bits per symbol, whether it is differential, and
 a read-only symbol table.  One mapper and one detector serve all four.
 
 Mapping.  Each symbol has an index: its bit, or for two bits (b0, b1)
-the Gray quarter-turn count 2*b0 + (b0 ^ b1), so that (0,0) -> 0,
-(0,1) -> 1, (1,1) -> 2 and (1,0) -> 3.  A differential scheme sends the
-running count of its indices modulo the table size, against an implicit
-reference table[0] that is never transmitted, so frame lengths stay
-exact; the count is an integer, so long streams are free of
-cumulative-product drift.  The symbol is table[index]:
+the Gray quarter-turn count 2*b0 + (b0 ^ b1) = 3*b0 ^ b1, so that
+(0,0) -> 0, (0,1) -> 1, (1,1) -> 2 and (1,0) -> 3.  A differential
+scheme sends the running count of its indices modulo the table size,
+against an implicit reference table[0] that is never transmitted, so
+frame lengths stay exact; the count is an integer, so long streams are
+free of cumulative-product drift.  The symbol is table[index]:
   BPSK   [+1, -1], real.
   QPSK   ((1-2*b0) + 1j*(1-2*b1)) / sqrt(2) for each quarter-turn count.
   DBPSK  [+1, -1], complex: s[n] = s[n-1] * (1-2*b[n]) from +1.
@@ -96,14 +96,17 @@ def modulate(bits, scheme) -> np.ndarray:
                          f"{sch.bits_per_symbol} ({sch.name})")
     index = b
     if sch.bits_per_symbol == 2:
-        index = b[..., 0::2] ^ b[..., 1::2]
-        index += b[..., 0::2] << 1
+        # Each (b0, b1) pair is one little-endian 16-bit word w, b0 in its
+        # low byte, as demodulate packs it; the low byte of 3*w ^ (w >> 8)
+        # is 3*b0 ^ b1, the Gray quarter-turn count.
+        pairs = np.ascontiguousarray(b).view("<u2")
+        words = np.multiply(pairs, 3, dtype="<u2")
+        words ^= pairs >> 8
+        index = words.view(np.uint8)[..., 0::2]
     if sch.differential:
-        # The running count modulo the table size: an XOR scan for two
-        # symbols (a little faster than a sum), a uint8 sum for four, which
-        # wraps modulo 256, a multiple of 4, so the mask stays exact.
-        scan = np.bitwise_xor if len(sch.table) == 2 else np.add
-        index = scan.accumulate(index, axis=-1, dtype=np.uint8)
+        # The running count modulo the table size: a uint8 sum wraps modulo
+        # 256, a multiple of the table size, so the mask stays exact.
+        index = np.add.accumulate(index, axis=-1, dtype=np.uint8)
         index &= len(sch.table) - 1
     if np.iscomplexobj(sch.table):
         return sch.table.take(index)

@@ -186,6 +186,8 @@ def dwt_inverse(coefficients, spec: WaveletSpec) -> np.ndarray:
     while a.shape[-1] < spec.block_size:
         # The detail of the level that doubles a to length n sits at [n/2, n).
         n = 2 * a.shape[-1]
-        a = (a @ _level_matrix(n, bank.synthesis_lowpass)
-             + c[..., n // 2 : n] @ _level_matrix(n, bank.synthesis_highpass))
+        # The lowpass product takes the sum in place, so the coarser
+        # approximation is freed before the detail product is formed.
+        a = a @ _level_matrix(n, bank.synthesis_lowpass)
+        a += c[..., n // 2 : n] @ _level_matrix(n, bank.synthesis_highpass)
     return a

@@ -1,5 +1,6 @@
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ class TestApplyAwgn:
         assert np.array_equal(received.real, symbols.real + noise[0])
         assert np.array_equal(received.imag, symbols.imag + noise[1])
 
+    @pytest.mark.parametrize("family", ["wh", "gold", "gcs"])
+    @pytest.mark.parametrize("users", range(1, 9))
+    def test_coloured_noise_is_the_full_product(self, users, family):
+        # Over bior22 the noise is sigma z @ C_w, bit for bit, in a short
+        # chunk and in one of a 7-user BPSK point's size.
+        cfg = config(family=family, users=users, wavelet="bior22", scheme="qpsk", snr_db=3.0)
+        for blocks in (9, 172):
+            symbols = self.symbols(cfg, blocks)
+            z = cfg.noise_sigma * np.random.default_rng(33).standard_normal((2, blocks, users * 32))
+            noise = (z @ cfg.noise_factor).reshape(2, blocks, users, 32).transpose(0, 2, 1, 3)
+            received = apply_awgn(symbols, cfg, np.random.default_rng(33))
+            assert np.array_equal(received.real, symbols.real + noise[0].reshape(users, -1))
+            assert np.array_equal(received.imag, symbols.imag + noise[1].reshape(users, -1))
+
     def test_sample_variance(self):
         cfg = config(users=7, scheme="qpsk", snr_db=3.0)
         received = apply_awgn(np.zeros((7, 32 * 2000), dtype=complex), cfg,
@@ -293,6 +308,33 @@ class TestChannelOperators:
                                                 WaveletSpec(wavelet, levels=levels))
         assert np.max(np.abs(despreading.T @ despreading - np.eye(256))) <= 1e-12
         assert np.max(np.abs(synthesis - despreading.T)) <= 1e-12
+
+    @pytest.mark.parametrize("levels", [3, 8])
+    @pytest.mark.parametrize("sf", [8, 32])
+    @pytest.mark.parametrize("family", ["wh", "gold", "gcs"])
+    def test_biorthogonal_constants_are_the_references(self, monkeypatch, family, sf, levels):
+        # channel_operators frees each array of the cascade once it has
+        # served; its constants stay exactly those of link_operators.
+        monkeypatch.setattr(link, "_OPERATORS", {})
+        spreading, wavelet = build_matrix(family, sf), WaveletSpec("bior22", levels=levels)
+        energies, factor = channel_operators(spreading, wavelet)
+        synthesis, despreading = link_operators(spreading, wavelet)
+        assert np.array_equal(energies, np.einsum("ij,ij->i", synthesis, synthesis))
+        assert np.array_equal(factor, np.linalg.cholesky(despreading.T @ despreading).T)
+
+    def test_biorthogonal_build_memory(self, monkeypatch):
+        # A 256 x 256 array takes 0.5 MiB.  Each freed once it has served,
+        # they are never more than three at once, with one 128 x 256 level
+        # matrix: 1.75 MiB.
+        monkeypatch.setattr(link, "_OPERATORS", {})
+        spreading, wavelet = build_matrix("gcs", 8), WaveletSpec("bior22")
+        tracemalloc.start()
+        try:
+            channel_operators(spreading, wavelet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * 2**20
 
 
 class TestRunLinkOnce:
