@@ -6,10 +6,18 @@ only the axes it sets, and the manifest echoes every field.
 
 Reproducibility contract: every sweep point derives its own seed by
 hashing (master_seed, point coordinates), so results are independent of
-execution order and of how many worker processes run the sweep.  A point
-draws from np.random.Generator(SFC64(seed)).  Each chunk draws the
-payload bits of all users first, as the bits of one rng.bytes call
-unpacked most significant first, and then the channel noise.
+execution order and of how many worker processes run the sweep.  The
+seed hashes the point's channel, not its wavelet label: over AWGN every
+orthonormal filter bank (haar, db2) is one channel, the identity with
+the same sigma, so a db2 point hashes "haar" and takes the seed of its
+haar twin, the point with the same coordinates over haar.  Its row then
+equals the twin's by construction, and run_sweep runs each twin pair
+once and copies the record.  Another master seed gives an independent
+replicate.  Under jobs > 1, twins in different workers may both
+simulate; the rows do not change.  A point draws from
+np.random.Generator(SFC64(seed)).  Each chunk draws the payload bits of
+all users first, as the bits of one rng.bytes call unpacked most
+significant first, and then the channel noise.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import hashlib
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -30,7 +38,7 @@ from . import fec
 from .link import LinkConfig, _as_snr, _check_bool, run_link_once
 from .modem import get_scheme
 from .spreading import FAMILIES, _check_integer, build_matrix
-from .wavelet import WaveletSpec
+from .wavelet import WaveletSpec, filter_bank
 
 DEFAULT_SNR_GRID = tuple(float(s) for s in range(21))
 DEFAULT_MIN_ERRORS = 100
@@ -141,8 +149,21 @@ def _check_stop_rule(min_bit_errors, max_info_bits) -> None:
     _check_at_least("max_info_bits", max_info_bits, fec.K_MSG)
 
 
+def _channel_point(point: PointSpec) -> PointSpec:
+    """The point with its wavelet named by its channel: every orthonormal
+    filter bank is the same channel as haar.  A point already named by
+    its channel comes back as itself: a fresh copy per point, made between
+    the records a caller keeps, raised the peak memory of repeated haar
+    sweeps."""
+    if point.wavelet != "haar" and filter_bank(point.wavelet).orthonormal:
+        return point._replace(wavelet="haar")
+    return point
+
+
 def point_seed(master_seed: int, point: PointSpec) -> int:
-    """Stable 64-bit seed derived from the master seed and coordinates."""
+    """Stable 64-bit seed derived from the master seed and coordinates,
+    with the wavelet named by its channel (haar for db2)."""
+    point = _channel_point(point)
     text = "|".join([
         str(int(master_seed)), repr(float(point.snr_db)), point.scheme, point.family,
         point.wavelet, str(int(point.coded)), str(int(point.users)),
@@ -173,7 +194,8 @@ def _chunk_bits_per_user(config: LinkConfig) -> int:
 
 
 def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
-              max_info_bits: int = DEFAULT_MAX_BITS, seed: int = 0) -> BerRecord:
+              max_info_bits: int = DEFAULT_MAX_BITS, seed: int = 0,
+              table: dict | None = None) -> BerRecord:
     """Estimate BER at one point: run fresh payloads until the error
     target is met or the bit budget is exhausted.
 
@@ -182,9 +204,18 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
     effect.  bits_sent stays below max_info_bits + num_users: the last
     chunk is cut to the bits the budget has left.  The stop rule must
     pass the check that SimConfig makes, or a ValueError is raised.
+
+    table is internal to run_sweep: one record table per sweep, keyed by
+    the point with its wavelet named by its channel, the stop rule and
+    the seed.  A point found there is not simulated; its twin's record comes
+    back with the point's own wavelet and the wall time of this call.
     """
     _check_stop_rule(min_bit_errors, max_info_bits)
     started = time.perf_counter()
+    key = (_channel_point(point), min_bit_errors, max_info_bits, seed)
+    if table is not None and key in table:
+        return replace(table[key], wavelet=point.wavelet,
+                       wall_time=time.perf_counter() - started)
     config = link_config_for(point)
     rng = np.random.Generator(np.random.SFC64(seed))
     chunk = _chunk_bits_per_user(config)
@@ -204,22 +235,29 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
         bit_errors += errors
         bits_sent += payload.size
     ber = bit_errors / bits_sent
-    return BerRecord(point.snr_db, point.scheme, point.family, point.wavelet,
-                     point.coded, point.users, bits_sent, bit_errors, ber,
-                     seed, time.perf_counter() - started)
+    record = BerRecord(point.snr_db, point.scheme, point.family, point.wavelet,
+                       point.coded, point.users, bits_sent, bit_errors, ber,
+                       seed, time.perf_counter() - started)
+    if table is not None:
+        table[key] = record
+    return record
 
 
 def run_sweep(config: SimConfig, jobs: int = 1) -> list[BerRecord]:
     """Run the Cartesian product of the sweep axes.
 
     Records come back sorted by coordinates, identically for any jobs
-    count, because every point owns a coordinate-derived seed.  jobs must
-    be an integer of at least 1, as for the CLI's --jobs.
+    count, because every point owns a coordinate-derived seed.  Each point
+    is one run_point call, in config.points() order, with positional
+    arguments; the calls share one record table, so a db2 point copies
+    its haar twin's record (see point_seed).  Under jobs > 1 each task
+    gets its own copy of the table.  jobs must be an integer of at least
+    1, as for the CLI's --jobs.
     """
     _check_at_least("jobs", jobs, 1)
     points = config.points()
     args = (points, repeat(config.min_bit_errors), repeat(config.max_info_bits),
-            [point_seed(config.master_seed, point) for point in points])
+            [point_seed(config.master_seed, point) for point in points], repeat({}))
     if jobs > 1:
         with _worker_pool(jobs) as pool:
             records = list(pool.map(run_point, *args, chunksize=1))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,8 +162,10 @@ class TestRunSweep:
         assert forward == backward
 
     def test_parallel_equals_serial(self):
-        config = SimConfig(snr_db=(0.0, 1.0), families=("wh",), user_counts=(2, 7),
-                           master_seed=9, **FAST)
+        # Under jobs > 1 a db2 point may simulate in place of copying its
+        # haar twin; its row does not change.
+        config = SimConfig(snr_db=(0.0, 1.0), families=("wh",), wavelets=("haar", "db2"),
+                           user_counts=(2, 7), master_seed=9, **FAST)
         assert run_sweep(config, jobs=1) == run_sweep(config, jobs=3)
 
     def test_parallel_sweep_leaves_environment_unchanged(self, monkeypatch):
@@ -251,6 +254,120 @@ class TestRunSweep:
         assert {r.users for r in records} == set(range(1, 8))
         assert {r.snr_db for r in records} == {-10.0}
 
+    def test_one_positional_run_point_call_per_point_in_order(self, monkeypatch):
+        # The benchmark harness wraps sim.run_point as run_point(point, *args)
+        # and maps each call back to config.points() by its order.
+        config = SimConfig(snr_db=(0.0, 2.0), families=("wh", "gcs"),
+                           wavelets=("haar", "db2"), user_counts=(1,), **FAST)
+        calls = []
+        real_run_point = sim.run_point
+
+        def spy(*args, **kwargs):
+            calls.append((args[0], kwargs))
+            return real_run_point(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "run_point", spy)
+        run_sweep(config, jobs=1)
+        assert [point for point, _ in calls] == config.points()
+        assert all(kwargs == {} for _, kwargs in calls)
+
+    def test_point_that_raises_fails_the_sweep(self, monkeypatch):
+        config = SimConfig(snr_db=(6.0,), schemes=("bpsk", "dqpsk"), families=("gcs",),
+                           wavelets=("haar", "db2", "bior22"), user_counts=(7,),
+                           min_bit_errors=13, max_info_bits=12)
+        real_run_point = sim.run_point
+
+        def run_point(point, *args):
+            if point.scheme == "dqpsk" and point.wavelet == "db2" and point.coded:
+                raise RuntimeError("injected failure")
+            return real_run_point(point, *args)
+
+        monkeypatch.setattr(sim, "run_point", run_point)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            run_sweep(config, jobs=1)
+
+
+# bpsk, dqpsk x haar, db2, bior22 x uncoded, coded: each point runs its
+# whole budget, two chunks.
+TWIN_GRID = dict(snr_db=(4.0,), schemes=("bpsk", "dqpsk"), families=("gcs",),
+                 user_counts=(7,), min_bit_errors=10**6, max_info_bits=30_000,
+                 master_seed=11)
+
+
+def _count_chunks(monkeypatch):
+    """Record the wavelet of every run_link_once call of sim."""
+    wavelets = []
+
+    def chunk(info_bits, config, rng):
+        wavelets.append(config.wavelet.family)
+        return run_link_once(info_bits, config, rng)
+
+    monkeypatch.setattr(sim, "run_link_once", chunk)
+    return wavelets
+
+
+class TestTwins:
+    """Every orthonormal bank (haar, db2) is the same channel, so a db2
+    point takes its haar twin's seed and run_sweep copies its record."""
+
+    def test_grid_runs_each_twin_pair_once(self, monkeypatch):
+        wavelets = _count_chunks(monkeypatch)
+        run_sweep(SimConfig(wavelets=("haar", "bior22"), **TWIN_GRID))
+        without_db2 = len(wavelets)
+        wavelets.clear()
+        records = run_sweep(SimConfig(wavelets=("haar", "db2", "bior22"), **TWIN_GRID))
+        assert without_db2 == 8 * 2
+        assert len(wavelets) == without_db2 and set(wavelets) == {"haar", "bior22"}
+        by_wavelet = {w: [r for r in records if r.wavelet == w] for w in ("haar", "db2")}
+        assert len(by_wavelet["db2"]) == 4
+        assert by_wavelet["db2"] == [dataclasses.replace(r, wavelet="db2")
+                                     for r in by_wavelet["haar"]]
+
+    def test_db2_point_alone_equals_its_grid_row(self):
+        config = SimConfig(wavelets=("haar", "db2", "bior22"), **TWIN_GRID)
+        records = run_sweep(config)
+        point = PointSpec(4.0, "dqpsk", "gcs", "db2", True, 7)
+        alone = run_point(point, config.min_bit_errors, config.max_info_bits,
+                          point_seed(config.master_seed, point))
+        row = next(r for r in records if (r.scheme, r.wavelet, r.coded) == ("dqpsk", "db2", True))
+        twin = next(r for r in records if (r.scheme, r.wavelet, r.coded) == ("dqpsk", "haar", True))
+        assert alone == row == dataclasses.replace(twin, wavelet="db2")
+
+    def test_every_sweep_simulates(self, monkeypatch):
+        # The record table lives for one sweep: a second sweep of the same
+        # config runs its chunks again.
+        config = SimConfig(wavelets=("haar", "db2"), **TWIN_GRID)
+        wavelets = _count_chunks(monkeypatch)
+        first = run_sweep(config)
+        assert len(wavelets) == 4 * 2
+        assert run_sweep(config) == first
+        assert len(wavelets) == 2 * 4 * 2 and set(wavelets) == {"haar"}
+
+    def test_copied_record_times_its_own_call(self, monkeypatch):
+        table = {}
+        haar = PointSpec(4.0, "bpsk", "wh", "haar", False, 7)
+        db2 = haar._replace(wavelet="db2")
+        seed = point_seed(1, haar)
+        first = run_point(haar, 1, 2000, seed, table)
+        ticks = iter([100.0, 100.25])
+        monkeypatch.setattr(sim, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        copy = run_point(db2, 1, 2000, seed, table)
+        assert copy == dataclasses.replace(first, wavelet="db2")
+        assert copy.wall_time == 0.25
+        assert len(table) == 1
+
+    def test_table_keys_hold_the_stop_rule_and_seed(self, monkeypatch):
+        table = {}
+        wavelets = _count_chunks(monkeypatch)
+        haar = PointSpec(4.0, "bpsk", "wh", "haar", False, 7)
+        db2 = haar._replace(wavelet="db2")
+        run_point(haar, 1, 2000, 5, table)
+        run_point(db2, 2, 2000, 5, table)
+        run_point(db2, 1, 3000, 5, table)
+        run_point(db2, 1, 2000, 6, table)
+        run_point(db2, 1, 2000, 5, table)
+        assert len(wavelets) == 4 and len(table) == 4
+
 
 class TestSeeds:
     def test_point_seed_stable_and_distinct(self):
@@ -259,6 +376,12 @@ class TestSeeds:
         assert point_seed(3, p1) == point_seed(3, p1)
         assert point_seed(3, p1) != point_seed(3, p2)
         assert point_seed(3, p1) != point_seed(4, p1)
+        # The seed hashes the channel: db2 is haar's channel, bior22 is not.
+        for levels in (3, 8):
+            haar = p1._replace(levels=levels)
+            assert point_seed(3, haar._replace(wavelet="db2")) == point_seed(3, haar)
+            assert point_seed(3, haar._replace(wavelet="bior22")) != point_seed(3, haar)
+        assert point_seed(3, p1._replace(levels=3)) != point_seed(3, p1)
 
     def test_link_config_for_carries_total_power(self):
         cfg = link_config_for(PointSpec(0.0, "bpsk", "wh", "haar", False, 2, 8, True))
@@ -432,6 +555,7 @@ class TestOutputs:
         # point over bior22, whose final block is partial.  A change to
         # the draw order or to the values of any chain must update this
         # digest and announce the new values (ROADMAP, reproducibility).
+        # The db2 points take the seeds of their haar twins.
         config = preset_config("fig2", 42, snr_db=(0.0, 4.0, 8.0), max_info_bits=40_000)
         extra = [PointSpec(4.0, "dbpsk", "gold", "db2", False, 7),
                  PointSpec(4.0, "dqpsk", "wh", "bior22", True, 7),
@@ -444,7 +568,7 @@ class TestOutputs:
             for point in extra]
         write_outputs(records, tmp_path)
         digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-        assert digest == "f53a4d2aaa751aa0f41a4a4332ab4fac2f0648a2c26318921d2f2e0480963d5f"
+        assert digest == "8f77c0db7093a1b8d7618be11a8c8782ddc9d4b950d14072ba6336328f377785"
 
     @pytest.mark.parametrize("preset, drop_last, message", [
         ("fig9", False, r"unknown preset 'fig9' \(choose from \['fig2'"),
