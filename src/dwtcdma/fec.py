@@ -85,6 +85,18 @@ def codec_tables() -> GolayCodecTables:
     return GolayCodecTables(encode_table, syndrome_table)
 
 
+def _as_words(values) -> np.ndarray:
+    """Packed words as uint32.  A non-integer dtype is refused, where the
+    cast would read 2.7 as 2; the test reads only the dtype, so it makes
+    no pass over the data.  An empty input may have any dtype."""
+    words = np.asarray(values)
+    if words.size and words.dtype.kind not in "iu":
+        raise ValueError(f"codec words must be integers, got dtype {words.dtype}")
+    # Cast from values, not words, so that a Python int beyond uint32
+    # still raises OverflowError.
+    return np.asarray(values, dtype=np.uint32)
+
+
 def syndromes(words) -> np.ndarray:
     """Syndrome of each packed 23-bit word (vectorized): the remainder of
     w(X) modulo g1(X).
@@ -92,7 +104,7 @@ def syndromes(words) -> np.ndarray:
     The code is systematic, so this is the word's 11 check bits XOR the
     check bits that its 12 information bits encode to.
     """
-    words = np.asarray(words, dtype=np.uint32)
+    words = _as_words(words)
     if words.size and words.max() >= 1 << N_CODE:
         raise ValueError("received word exceeds 23 bits")
     return (words ^ codec_tables().encode_table[words >> N_CHECK]) & ((1 << N_CHECK) - 1)
@@ -100,7 +112,7 @@ def syndromes(words) -> np.ndarray:
 
 def encode_words(messages) -> np.ndarray:
     """Codewords for packed 12-bit messages (vectorized)."""
-    messages = np.asarray(messages, dtype=np.uint32)
+    messages = _as_words(messages)
     if messages.size and messages.max() >= 1 << K_MSG:
         raise ValueError("message value exceeds 12 bits")
     return codec_tables().encode_table[messages]
@@ -110,7 +122,7 @@ def decode_words(words) -> np.ndarray:
     """Nearest-codeword decode of packed 23-bit words to their 12-bit
     messages.  The code is perfect, so every word decodes; more than 3
     channel errors decode to a wrong codeword."""
-    words = np.asarray(words, dtype=np.uint32)
+    words = _as_words(words)
     patterns = codec_tables().syndrome_table[syndromes(words)]
     return (words ^ patterns) >> N_CHECK
 

@@ -5,7 +5,15 @@ verify their defining properties.
 Chip convention used throughout the package: bit 0 maps to chip +1 and
 bit 1 maps to chip -1, so modulo-2 addition of bit sequences equals
 chipwise multiplication of +-1 sequences.  All correlations here are
-computed in exact integer arithmetic.
+computed in exact integer arithmetic, each over every lag or shift in one
+numpy call.
+
+The orthogonal Gold matrix of order n = 2^m has a closed form: the 2^m - 1
+combination sequences u*T^k v of a preferred pair (u, v), then u, each
+with one +1 chip appended.  The chipwise product of any two of these
+sequences is a cyclic shift of an m-sequence (shift-and-add), whose
+2^m - 1 chips sum to -1, so the appended chips, whose product is +1, make
+every pair of rows orthogonal.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ class SpreadingMatrix:
     rows: np.ndarray  # shape (N, N), dtype int64, entries +-1
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = _chips(self.rows)
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         n = self.spreading_factor
@@ -47,8 +55,6 @@ class SpreadingMatrix:
             raise ValueError(f"expected {n}x{n} chip matrix, got {rows.shape}")
         if not _is_power_of_two(n):
             raise ValueError(f"spreading factor {n} is not a power of two")
-        if not np.all(np.abs(rows) == 1):
-            raise ValueError("chip values must be +1 or -1")
         if not np.array_equal(rows @ rows.T, n * np.eye(n, dtype=np.int64)):
             raise ValueError(f"{self.family} rows are not mutually orthogonal")
 
@@ -64,32 +70,36 @@ def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+def _chips(values) -> np.ndarray:
+    """values as int64 chips.  They are tested before the cast, which
+    would truncate 1.5 to 1 and drop an imaginary part."""
+    values = np.asarray(values)
+    if not np.all((values == 1) | (values == -1)):
+        raise ValueError("chip values must be +1 or -1")
+    return values.astype(np.int64, copy=False)
+
+
 def _as_chips(x) -> np.ndarray:
-    chips = np.asarray(x, dtype=np.int64)
+    chips = _chips(x)
     if chips.ndim != 1 or chips.size == 0:
         raise ValueError("chip sequence must be a nonempty 1-D array")
-    if not np.all(np.abs(chips) == 1):
-        raise ValueError("chip values must be +1 or -1")
     return chips
 
 
-def aperiodic_autocorr(x, k: int) -> int:
-    """Sum of x[j]*x[j+k] over the overlap of x with its k-shifted self."""
+def aperiodic_autocorr(x) -> np.ndarray:
+    """Aperiodic autocorrelation at every lag: entry k (0 <= k < n) is the
+    sum of x[j]*x[j+k] over the overlap of x with its k-shifted self."""
     chips = _as_chips(x)
-    n = len(chips)
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"lag {k} out of range for length {n}")
-    return int(np.dot(chips[: n - k], chips[k:]))
+    return np.correlate(chips, chips, "full")[len(chips) - 1:]
 
 
-def periodic_crosscorr(a, b, shift: int) -> int:
-    """Sum of a[j]*b[(j+shift) mod L] in exact integer arithmetic."""
+def periodic_crosscorr(a, b) -> np.ndarray:
+    """Periodic cross-correlation at every shift: entry s (0 <= s < L) is
+    the sum of a[j]*b[(j+s) mod L]."""
     ca, cb = _as_chips(a), _as_chips(b)
     if len(ca) != len(cb):
         raise ValueError(f"length mismatch: {len(ca)} vs {len(cb)}")
-    if not 0 <= shift < len(ca):
-        raise ValueError(f"shift {shift} out of range for length {len(ca)}")
-    return int(np.dot(ca, np.roll(cb, -shift)))
+    return np.correlate(np.concatenate([cb, cb[:-1]]), ca, "valid")
 
 
 def walsh_hadamard(n: int) -> SpreadingMatrix:
@@ -102,19 +112,31 @@ def walsh_hadamard(n: int) -> SpreadingMatrix:
     return SpreadingMatrix(FAMILY_WALSH, n, h)
 
 
+def _bits(name: str, values) -> list[int]:
+    """A 1-D sequence of 0/1 entries as ints; any other entry is refused,
+    where a cast would read 3 as 1 or 0.7 as 0."""
+    values = np.asarray(values)
+    if values.ndim != 1 or not np.all((values == 0) | (values == 1)):
+        raise ValueError(f"{name} must be a 1-D sequence of 0 and 1 entries")
+    return values.astype(np.int64).tolist()
+
+
 def lfsr_m_sequence(taps: Sequence[int], seed: Sequence[int]) -> np.ndarray:
     """Maximal-length LFSR sequence as +-1 chips (bit 0 -> +1, bit 1 -> -1).
 
     taps is the ascending coefficient list of a degree-m primitive
     polynomial (length m+1, constant and leading terms both 1); seed is a
-    nonzero m-bit initial state.  The full period 2^m - 1 is verified by
-    a state-cycle check and a non-primitive polynomial is rejected.
+    nonzero m-bit initial state.  Every entry of both must be 0 or 1.
+
+    The constant tap 1 makes the state map a bijection, so the seed's
+    state cycle has at most 2^m - 1 states and the polynomial is
+    primitive exactly when the state first returns to the seed at step
+    2^m - 1; an earlier return rejects it.
     """
-    coeffs = np.asarray(taps, dtype=np.int64)
+    coeffs, state = _bits("taps", taps), tuple(_bits("seed", seed))
     m = len(coeffs) - 1
-    if m < 1 or coeffs[0] != 1 or coeffs[m] != 1 or not np.all((coeffs == 0) | (coeffs == 1)):
+    if m < 1 or coeffs[0] != 1 or coeffs[m] != 1:
         raise ValueError("taps must be a binary coefficient list with constant and leading 1")
-    state = [int(b) & 1 for b in seed]
     if len(state) != m:
         raise ValueError(f"seed must have {m} bits")
     if not any(state):
@@ -122,17 +144,12 @@ def lfsr_m_sequence(taps: Sequence[int], seed: Sequence[int]) -> np.ndarray:
 
     period = (1 << m) - 1
     feedback = [i for i in range(m) if coeffs[i] == 1]
-    bits = []
-    seen = set()
-    st = tuple(state)
-    for _ in range(period):
-        if st in seen:
-            raise ValueError("polynomial is not primitive (state cycle shorter than 2^m - 1)")
-        seen.add(st)
+    bits, st = [], state
+    for step in range(1, period + 1):
         bits.append(st[0])
         st = st[1:] + (sum(st[i] for i in feedback) & 1,)
-    if st != tuple(state):
-        raise ValueError("polynomial is not primitive (period is not 2^m - 1)")
+        if st == state and step < period:
+            raise ValueError("polynomial is not primitive (state cycle shorter than 2^m - 1)")
     return (1 - 2 * np.array(bits, dtype=np.int64))
 
 
@@ -151,11 +168,14 @@ def gold_family(u, v) -> list[np.ndarray]:
 
 
 def orthogonal_gold_matrix(n: int) -> SpreadingMatrix:
-    """Orthogonal Gold matrix of order n = 2^m via zero padding.
+    """Orthogonal Gold matrix of order n = 2^m in closed form.
 
-    Each length-(2^m - 1) Gold candidate is padded with one extra chip +1
-    (an appended 0 bit); a greedy Gram-verified search then keeps the
-    first n mutually orthogonal padded rows.
+    The rows are the 2^m - 1 combination sequences u*T^k v (k = 0 ...
+    2^m - 2) of the built-in preferred pair, then u, each with one +1 chip
+    (an appended 0 bit).  Any two of these sequences meet at -1 over their
+    period, since their chipwise product is a shifted m-sequence, so the
+    appended chips make every pair of rows orthogonal; SpreadingMatrix
+    checks the Gram matrix.
     """
     if not _is_power_of_two(n) or n < 2:
         raise ValueError(f"spreading factor must be a power of two >= 2, got {n}")
@@ -170,23 +190,8 @@ def orthogonal_gold_matrix(n: int) -> SpreadingMatrix:
     u = lfsr_m_sequence(taps_u, ones)
     v = lfsr_m_sequence(taps_v, ones)
     family = gold_family(u, v)
-    # Combination sequences first: any two of them stay orthogonal after
-    # padding, the lone m-sequences may conflict and are tried last.
-    candidates = family[2:] + [family[0], family[1]]
-
-    kept: list[np.ndarray] = []
-    for cand in candidates:
-        padded = np.concatenate([cand, [1]])
-        if all(int(np.dot(padded, row)) == 0 for row in kept):
-            kept.append(padded)
-        if len(kept) == n:
-            break
-    if len(kept) < n:
-        raise ValueError(
-            f"only {len(kept)} mutually orthogonal padded Gold sequences "
-            f"found for degree {m}, need {n}"
-        )
-    return SpreadingMatrix(FAMILY_GOLD, n, np.array(kept, dtype=np.int64))
+    rows = np.array(family[2:] + family[:1])
+    return SpreadingMatrix(FAMILY_GOLD, n, np.hstack([rows, np.ones((n, 1), dtype=np.int64)]))
 
 
 def golay_pair_tree(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -250,47 +255,31 @@ def verify_spreading_invariants() -> list[tuple[str, bool, str]]:
     """Run every correlation invariant; returns (name, ok, detail) rows."""
     checks: list[tuple[str, bool, str]] = []
 
-    for n in (2, 4, 8, 16, 32):
-        for family in (FAMILY_WALSH, FAMILY_GCS):
-            try:
-                build_matrix(family, n)
-                checks.append((f"gram {family} N={n}", True, "N*I exact"))
-            except ValueError as exc:
-                checks.append((f"gram {family} N={n}", False, str(exc)))
-    for n in (8, 32):
+    orders = [(family, n) for n in (2, 4, 8, 16, 32) for family in (FAMILY_WALSH, FAMILY_GCS)]
+    for family, n in orders + [(FAMILY_GOLD, 8), (FAMILY_GOLD, 32)]:
         try:
-            build_matrix(FAMILY_GOLD, n)
-            checks.append((f"gram gold N={n}", True, "N*I exact"))
+            build_matrix(family, n)
+            checks.append((f"gram {family} N={n}", True, "N*I exact"))
         except ValueError as exc:
-            checks.append((f"gram gold N={n}", False, str(exc)))
+            checks.append((f"gram {family} N={n}", False, str(exc)))
 
     for n in (2, 4, 8, 16, 32):
-        worst = 0
-        for a, b in golay_pair_tree(n):
-            for k in range(1, n):
-                worst = max(worst, abs(aperiodic_autocorr(a, k) + aperiodic_autocorr(b, k)))
+        worst = max(int(np.abs(aperiodic_autocorr(a) + aperiodic_autocorr(b))[1:].max())
+                    for a, b in golay_pair_tree(n))
         checks.append((f"complementary pair sums N={n}", worst == 0, f"max |R_a+R_b| = {worst}"))
 
     for m, (taps_u, taps_v) in PREFERRED_PAIRS.items():
         ones = [1] * m
         u = lfsr_m_sequence(taps_u, ones)
         v = lfsr_m_sequence(taps_v, ones)
-        period = (1 << m) - 1
-        acf_ok = all(
-            periodic_crosscorr(s, s, k) == -1
-            for s in (u, v)
-            for k in range(1, period)
-        )
+        acf_ok = all(bool(np.all(periodic_crosscorr(s, s)[1:] == -1)) for s in (u, v))
         checks.append((f"m-sequence autocorrelation m={m}", acf_ok, "-1 at all nonzero shifts"))
 
         t = correlation_value_bound(m)
         allowed = {-1, -t, t - 2}
         family = gold_family(u, v)
-        seen = set()
-        for i in range(len(family)):
-            for j in range(i + 1, len(family)):
-                for s in range(period):
-                    seen.add(periodic_crosscorr(family[i], family[j], s))
+        seen = {int(c) for i, a in enumerate(family) for b in family[i + 1:]
+                for c in periodic_crosscorr(a, b)}
         ok = seen <= allowed
         checks.append(
             (f"gold cross-correlation values m={m}", ok, f"observed {sorted(seen)}")

@@ -123,6 +123,18 @@ class TestDecode:
         with pytest.raises(ValueError, match=f"exceeds {bits} bits"):
             func(np.array([0, 1 << bits], dtype=np.uint32))
 
+    @pytest.mark.parametrize("func", [syndromes, decode_words, encode_words])
+    @pytest.mark.parametrize("words", [[2.7], [1.5], np.array([1.0, 2.0]), [True]])
+    def test_rejects_words_of_a_non_integer_dtype(self, func, words):
+        # A cast to uint32 would read 2.7 as 2 and 1.5 as 1.
+        with pytest.raises(ValueError, match="codec words must be integers"):
+            func(words)
+
+    @pytest.mark.parametrize("func", [syndromes, decode_words, encode_words])
+    def test_empty_words_of_any_dtype(self, func):
+        for empty in ([], np.zeros(0), np.zeros(0, dtype=np.int64)):
+            assert func(empty).shape == (0,)
+
     def test_syndrome_zero_iff_codeword(self):
         words = encode_words(np.arange(4096, dtype=np.uint32))
         assert not syndromes(words).any()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,11 @@ from dwtcdma.spreading import (
 def brute_force_aperiodic(x, k):
     # Independent oracle: plain python sum.
     return sum(int(x[j]) * int(x[j + k]) for j in range(len(x) - k))
+
+
+def brute_force_periodic(a, b, s):
+    # Independent oracle: plain python sum over one period.
+    return sum(int(a[j]) * int(b[(j + s) % len(b)]) for j in range(len(a)))
 
 
 def gram(matrix):
@@ -63,8 +70,7 @@ class TestLfsrMSequence:
     @pytest.mark.parametrize("taps", [(1, 1, 0, 1), (1, 0, 1, 1)])
     def test_degree3_periodic_autocorrelation(self, taps):
         seq = lfsr_m_sequence(taps, [1, 1, 1])
-        for k in range(1, 7):
-            assert periodic_crosscorr(seq, seq, k) == -1
+        assert periodic_crosscorr(seq, seq)[1:].tolist() == [-1] * 6
 
     def test_degree5_length(self):
         assert len(lfsr_m_sequence([1, 0, 1, 0, 0, 1], [1] * 5)) == 31
@@ -81,6 +87,16 @@ class TestLfsrMSequence:
     def test_rejects_malformed_taps(self):
         with pytest.raises(ValueError):
             lfsr_m_sequence([0, 1, 0, 1], [0, 0, 1])
+
+    @pytest.mark.parametrize("taps, seed", [
+        ((1, 1, 0, 1), (3, 0, 0)),
+        ((1, 1, 0, 1), (0.7, 0, 1)),
+        ((1, 1.5, 0, 1), (0, 0, 1)),
+    ])
+    def test_rejects_entries_other_than_bits(self, taps, seed):
+        # A cast would run seed 3 as 1, 0.7 as 0 and tap 1.5 as 1.
+        with pytest.raises(ValueError, match="0 and 1"):
+            lfsr_m_sequence(taps, seed)
 
 
 class TestGoldFamily:
@@ -99,12 +115,8 @@ class TestGoldFamily:
         t = correlation_value_bound(m)
         allowed = {-1, -t, t - 2}
         fam = self.family(m)
-        period = (1 << m) - 1
-        seen = set()
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                for s in range(period):
-                    seen.add(periodic_crosscorr(fam[i], fam[j], s))
+        seen = {int(c) for i, a in enumerate(fam) for b in fam[i + 1:]
+                for c in periodic_crosscorr(a, b)}
         assert seen <= allowed
 
     def test_bound_values(self):
@@ -137,7 +149,7 @@ class TestGolayComplementary:
     def test_n2_rows_and_autocorr(self):
         m = golay_complementary_matrix(2)
         assert m.rows.tolist() == [[1, 1], [1, -1]]
-        assert aperiodic_autocorr(m.rows[0], 1) + aperiodic_autocorr(m.rows[1], 1) == 0
+        assert aperiodic_autocorr(m.rows[0])[1] + aperiodic_autocorr(m.rows[1])[1] == 0
 
     def test_n4_rows(self):
         rows = {tuple(r) for r in golay_complementary_matrix(4).rows.tolist()}
@@ -162,40 +174,45 @@ class TestGolayComplementary:
 
 class TestCorrelations:
     def test_aperiodic_examples(self):
-        assert aperiodic_autocorr([1, 1], 0) == 2
-        assert aperiodic_autocorr([1, 1], 1) == 1
-        assert aperiodic_autocorr([1, -1], 1) == -1
-        assert aperiodic_autocorr([1, 1, 1, -1], 2) == 0
+        assert aperiodic_autocorr([1, 1]).tolist() == [2, 1]
+        assert aperiodic_autocorr([1, -1]).tolist() == [2, -1]
+        assert aperiodic_autocorr([1, 1, 1, -1]).tolist() == [4, 1, 0, -1]
 
     def test_aperiodic_matches_brute_force(self):
         rng = np.random.default_rng(3)
         x = rng.choice([-1, 1], size=17)
-        for k in range(17):
-            assert aperiodic_autocorr(x, k) == brute_force_aperiodic(x, k)
+        assert aperiodic_autocorr(x).tolist() == [brute_force_aperiodic(x, k) for k in range(17)]
 
     def test_aperiodic_rejects_bad_lag(self):
-        for k in (-1, 2, 7):
-            with pytest.raises(ValueError):
-                aperiodic_autocorr([1, -1], k)
+        # The vector holds lags 0 ... n-1 only, and a lag argument is refused.
+        assert len(aperiodic_autocorr([1, -1, 1])) == 3
+        with pytest.raises(TypeError):
+            aperiodic_autocorr([1, -1], 1)
+
+    def test_periodic_matches_brute_force(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.choice([-1, 1], size=(2, 13))
+        assert periodic_crosscorr(a, b).tolist() == [brute_force_periodic(a, b, s)
+                                                     for s in range(13)]
 
     def test_periodic_energy_at_zero_shift(self):
         seq = lfsr_m_sequence([1, 1, 0, 1], [1, 1, 1])
-        assert periodic_crosscorr(seq, seq, 0) == 7
+        assert periodic_crosscorr(seq, seq)[0] == 7
 
     def test_orthogonal_rows_zero_at_shift_zero(self):
         m = walsh_hadamard(8)
-        assert periodic_crosscorr(m.rows[1], m.rows[5], 0) == 0
+        assert periodic_crosscorr(m.rows[1], m.rows[5])[0] == 0
 
     def test_periodic_rejects_mismatch_and_bad_shift(self):
         with pytest.raises(ValueError):
-            periodic_crosscorr([1, 1], [1, 1, -1], 0)
-        with pytest.raises(ValueError):
+            periodic_crosscorr([1, 1], [1, 1, -1])
+        with pytest.raises(TypeError):
             periodic_crosscorr([1, 1], [1, -1], 2)
 
     def test_correlations_are_pure(self):
         x = lfsr_m_sequence([1, 0, 1, 0, 0, 1], [1] * 5)
-        first = [aperiodic_autocorr(x, k) for k in range(31)]
-        second = [aperiodic_autocorr(x, k) for k in range(31)]
+        first = aperiodic_autocorr(x).tolist()
+        second = aperiodic_autocorr(x).tolist()
         assert first == second
 
 
@@ -207,6 +224,14 @@ class TestMatrixValidationAndHelpers:
     def test_rejects_non_chip_values(self):
         with pytest.raises(ValueError):
             SpreadingMatrix("wh", 2, np.array([[1, 2], [1, -1]]))
+
+    @pytest.mark.parametrize("entry", [1.5, -1.2, 1j])
+    def test_chip_values_are_checked_before_the_cast(self, entry):
+        # A cast to int64 first would read 1.5 as 1 and -1.2 as -1.
+        with pytest.raises(ValueError, match="chip values"):
+            SpreadingMatrix("wh", 2, entry * walsh_hadamard(2).rows)
+        with pytest.raises(ValueError, match="chip values"):
+            aperiodic_autocorr([entry, -1])
 
     def test_build_matrix_dispatch(self):
         for family in FAMILIES:
@@ -231,3 +256,57 @@ class TestMatrixValidationAndHelpers:
 
     def test_verify_invariants_all_pass(self):
         assert all(ok for _, ok, _ in verify_spreading_invariants())
+
+
+# SHA-256 of each buildable chip matrix's little-endian int64 bytes.
+MATRIX_DIGESTS = {
+    ("wh", 1): "7c9fa136d4413fa6173637e883b6998d32e1d675f88cddff9dcbcf331820f4b8",
+    ("wh", 2): "44e41c721ef7ad53582de3a2470e7bf6e74ea4471f54c42469817ef5844da195",
+    ("wh", 4): "aa60fb6df530078eac7046de94dd6acfaf67c83ac155f77ae6b06e308b528d22",
+    ("wh", 8): "5d6b6ffc8a5aca0cce07fe3aa8a0722a8bef21e28805479246232aa17a5c2abb",
+    ("wh", 16): "a5d51a9007b290d37bd4ccd9a09e3c26c630bc5b0d5ee68ae24aa231d34af08e",
+    ("wh", 32): "9d00b9c44ffc2bdd4ca515c288c0d35792ff13ba8079da005eea47945b528e3c",
+    ("gcs", 2): "44e41c721ef7ad53582de3a2470e7bf6e74ea4471f54c42469817ef5844da195",
+    ("gcs", 4): "1ffb93ebec83b4128705509ccb5cd8bd279a1dca314eeb0aa43f3845d6ab8d46",
+    ("gcs", 8): "167e8a246e5409325d0633dd48c9c3eb2d7cec6f6595f7e8c90dd0ab5fb2abd7",
+    ("gcs", 16): "8c5dd2b227eccc11cec33844a3d25c59bdf36b5d8170adbaaaede1f88e4e1377",
+    ("gcs", 32): "7558438526b4a4e8674141e37a64e0562cc9fb7181b9df870dbdf81d16751b83",
+    ("gold", 8): "b931b97597ffe0eb2a3a963ab220cbcb6bf83f88933a3818342449a631b96269",
+    ("gold", 32): "4dc754b857142e21a744afeb1b6f23750d82c84c4a8473e8a70778edbeaf510f",
+}
+
+
+class TestPinnedOutputs:
+    """Every chip matrix and every self-check row, pinned byte for byte."""
+
+    @pytest.mark.parametrize("family, n", sorted(MATRIX_DIGESTS))
+    def test_matrix_digest(self, family, n):
+        rows = np.ascontiguousarray(build_matrix(family, n).rows, dtype="<i8")
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == MATRIX_DIGESTS[family, n]
+
+    def test_self_check_rows(self):
+        rows = verify_spreading_invariants()
+        assert all(type(ok) is bool for _, ok, _ in rows)
+        assert rows == [
+            ("gram wh N=2", True, "N*I exact"),
+            ("gram gcs N=2", True, "N*I exact"),
+            ("gram wh N=4", True, "N*I exact"),
+            ("gram gcs N=4", True, "N*I exact"),
+            ("gram wh N=8", True, "N*I exact"),
+            ("gram gcs N=8", True, "N*I exact"),
+            ("gram wh N=16", True, "N*I exact"),
+            ("gram gcs N=16", True, "N*I exact"),
+            ("gram wh N=32", True, "N*I exact"),
+            ("gram gcs N=32", True, "N*I exact"),
+            ("gram gold N=8", True, "N*I exact"),
+            ("gram gold N=32", True, "N*I exact"),
+            ("complementary pair sums N=2", True, "max |R_a+R_b| = 0"),
+            ("complementary pair sums N=4", True, "max |R_a+R_b| = 0"),
+            ("complementary pair sums N=8", True, "max |R_a+R_b| = 0"),
+            ("complementary pair sums N=16", True, "max |R_a+R_b| = 0"),
+            ("complementary pair sums N=32", True, "max |R_a+R_b| = 0"),
+            ("m-sequence autocorrelation m=3", True, "-1 at all nonzero shifts"),
+            ("gold cross-correlation values m=3", True, "observed [-5, -1, 3]"),
+            ("m-sequence autocorrelation m=5", True, "-1 at all nonzero shifts"),
+            ("gold cross-correlation values m=5", True, "observed [-9, -1, 7]"),
+        ]
