@@ -87,14 +87,18 @@ def codec_tables() -> GolayCodecTables:
 
 def _as_words(values) -> np.ndarray:
     """Packed words as uint32.  A non-integer dtype is refused, where the
-    cast would read 2.7 as 2; the test reads only the dtype, so it makes
-    no pass over the data.  An empty input may have any dtype."""
+    cast would read 2.7 as 2, and so is a value outside 0..2**32 - 1,
+    which the cast would wrap.  The dtype test makes no pass over the
+    data, and the range test is skipped for a dtype that casts safely to
+    uint32, such as the uint32 words of the hot path.  An empty input
+    may have any dtype."""
     words = np.asarray(values)
     if words.size and words.dtype.kind not in "iu":
         raise ValueError(f"codec words must be integers, got dtype {words.dtype}")
-    # Cast from values, not words, so that a Python int beyond uint32
-    # still raises OverflowError.
-    return np.asarray(values, dtype=np.uint32)
+    if (words.size and not np.can_cast(words.dtype, np.uint32)
+            and (int(words.min()) < 0 or int(words.max()) >= 1 << 32)):
+        raise ValueError("codec words must lie in 0..2**32 - 1")
+    return words.astype(np.uint32, copy=False)
 
 
 def syndromes(words) -> np.ndarray:

@@ -7,11 +7,10 @@ Signal-to-noise convention: snr_db is Eb/N0 per information bit.  Noise
 is calibrated against the expected transmitted energy per data symbol
 (see below), so a coded link pays its 12/23 rate penalty in signal
 energy and the definition stays correct for the non-orthonormal
-biorthogonal transform.  In the optional total-power mode, which holds
-total transmit power constant so each of the U users keeps only a 1/U
-share of energy, the noise std is scaled by sqrt(U) in place of the
-symbols by 1/sqrt(U): every detector is a sign test, and scaling all
-received symbols by a positive number leaves every sign unchanged.
+biorthogonal transform.  snr_db is each user's own Eb/N0: the link has
+one noise rule.  A sweep's total-power mode, in which U users share one
+user's energy, is this link at snr_db - 10*log10(U) (see
+sim.link_config_for).
 
 From modulated symbols to despread symbols the chain is real-linear:
 two real matrices per (code rows, wavelet), T = spread then inverse DWT
@@ -82,10 +81,9 @@ class LinkConfig:
     constants of the link, computed once here; building the config
     therefore fails on an SNR whose noise overflows at this link's Eb.
     Over haar and db2, noise_sigma is noise_sigma_for(snr_db, config, 1.0)
-    exactly; in total-power mode it is that std times sqrt(num_users).
-    The scalars are checked as SimConfig checks its axes: snr_db is
-    stored as a float, and coded, total_power and num_users must be a
-    bool, a bool and an integer.
+    exactly.  The scalars are checked as SimConfig checks its axes:
+    snr_db is stored as a float, coded must be a bool and num_users an
+    integer.
     """
 
     spreading: SpreadingMatrix
@@ -94,7 +92,6 @@ class LinkConfig:
     num_users: int = 7
     coded: bool = False
     snr_db: float = 0.0
-    total_power: bool = False
     noise_sigma: float = field(init=False, repr=False, compare=False)
     noise_factor: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -102,7 +99,6 @@ class LinkConfig:
         object.__setattr__(self, "scheme", get_scheme(self.scheme))
         object.__setattr__(self, "snr_db", _as_snr(self.snr_db))
         _check_bool("coded", self.coded)
-        _check_bool("total_power", self.total_power)
         _check_integer("num_users", self.num_users)
         sf = self.spreading.spreading_factor
         if not 1 <= self.num_users <= sf:
@@ -114,8 +110,6 @@ class LinkConfig:
         width = self.num_users * self.symbols_per_block
         energies, factor = channel_operators(self.spreading, self.wavelet)
         sigma = noise_sigma_for(self.snr_db, self, float(np.mean(energies[:width])))
-        if self.total_power:
-            sigma *= math.sqrt(self.num_users)
         object.__setattr__(self, "noise_sigma", sigma)
         if factor is not None:
             factor = factor[:width, :width]

@@ -175,14 +175,20 @@ def point_seed(master_seed: int, point: PointSpec) -> int:
 
 
 def link_config_for(point: PointSpec) -> LinkConfig:
+    """The link of one point.  Total-power mode holds the users' total
+    transmit power at one user's: each of the U users keeps a 1/U share
+    of the energy, so its Eb/N0 is the nominal value less 10*log10(U) dB,
+    and the point runs the per-user link at that SNR.  The snr_db of the
+    point, and of its record, stays the nominal value."""
+    # A user count below 1 is left to LinkConfig, whose error names it.
+    shift = 10.0 * math.log10(point.users) if point.total_power and point.users > 0 else 0.0
     return LinkConfig(
         spreading=build_matrix(point.family, point.spreading_factor),
         wavelet=WaveletSpec(point.wavelet, levels=point.levels),
         scheme=get_scheme(point.scheme),
         num_users=point.users,
         coded=point.coded,
-        snr_db=point.snr_db,
-        total_power=point.total_power,
+        snr_db=_as_snr(point.snr_db) - shift,
     )
 
 

@@ -47,7 +47,8 @@ class SpreadingMatrix:
     rows: np.ndarray  # shape (N, N), dtype int64, entries +-1
 
     def __post_init__(self):
-        rows = _chips(self.rows)
+        # A copy, so that freezing it leaves the caller's array writeable.
+        rows = _chips(self.rows).copy()
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
         n = self.spreading_factor

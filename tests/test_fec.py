@@ -131,6 +131,24 @@ class TestDecode:
             func(words)
 
     @pytest.mark.parametrize("func", [syndromes, decode_words, encode_words])
+    @pytest.mark.parametrize("value", [(1 << 32) + 5, -(1 << 32) + 3, (1 << 32) + 1, -1,
+                                       (1 << 64) - 1])
+    def test_rejects_words_outside_uint32(self, func, value):
+        # A cast to uint32 would wrap 2**32 + 5 to 5 and -2**32 + 3 to 3.
+        words = np.array([0, value], dtype=np.uint64 if value >= 1 << 63 else np.int64)
+        with pytest.raises(ValueError, match=r"codec words must lie in 0\.\.2\*\*32 - 1"):
+            func(words)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64])
+    def test_words_in_range_of_any_integer_dtype(self, dtype):
+        words = np.array([0, 5, 100], dtype=dtype)
+        assert np.array_equal(encode_words(words), encode_words(words.astype(np.uint32)))
+
+    def test_uint32_words_are_not_copied(self):
+        words = np.array([0, 5, 4095], dtype=np.uint32)
+        assert fec._as_words(words) is words
+
+    @pytest.mark.parametrize("func", [syndromes, decode_words, encode_words])
     def test_empty_words_of_any_dtype(self, func):
         for empty in ([], np.zeros(0), np.zeros(0, dtype=np.int64)):
             assert func(empty).shape == (0,)

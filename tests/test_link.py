@@ -30,9 +30,9 @@ def despread(coefficients, spreading, user):
 
 
 def config(family="wh", wavelet="haar", scheme="bpsk", users=7, coded=False,
-           snr_db=300.0, sf=8, total_power=False):
+           snr_db=300.0, sf=8):
     return LinkConfig(build_matrix(family, sf), WaveletSpec(wavelet), scheme,
-                      users, coded, snr_db, total_power)
+                      users, coded, snr_db)
 
 
 class TestSpreadMultiplex:
@@ -229,7 +229,6 @@ class TestLinkConfig:
 
     @pytest.mark.parametrize("field, value, message", [
         ("coded", "no", "coded must be a bool"),
-        ("total_power", "yes", "total_power must be a bool"),
         ("snr_db", True, "snr_db must hold numbers"),
         ("snr_db", None, "snr_db must hold numbers"),
     ])
@@ -433,33 +432,6 @@ class TestRunLinkOnce:
         twin.standard_normal((1 if scheme == "bpsk" else 2, 4, users * 32))
         assert rng.random() == twin.random()
 
-    @pytest.mark.parametrize("wavelet", ["haar", "bior22"])
-    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
-    def test_total_power_chunk_replays_by_hand(self, scheme, wavelet):
-        # Total power scales the noise std by sqrt(U) in place of the
-        # symbols by 1/sqrt(U).  Every detector is a sign test, so the link
-        # decides what symbols / sqrt(U) + sigma z decides, with sigma the
-        # per-user std and z the link's own draw (see the module docstring).
-        users, blocks = 4, 8
-        cfg = config(users=users, wavelet=wavelet, scheme=scheme, snr_db=3.0, total_power=True)
-        group, width = cfg.symbols_per_block, users * cfg.symbols_per_block
-        n_bits = blocks * group * cfg.scheme.bits_per_symbol
-        bits = np.random.default_rng(22).integers(0, 2, (users, n_bits), dtype=np.uint8)
-        decoded, errors = run_link_once(bits, cfg, np.random.default_rng(23))
-
-        energies, factor = channel_operators(cfg.spreading, cfg.wavelet)
-        sigma = noise_sigma_for(3.0, cfg, float(np.mean(energies[:width])))
-        symbols = modulate(bits, cfg.scheme)
-        dims = 2 if np.iscomplexobj(symbols) else 1
-        noise = sigma * np.random.default_rng(23).standard_normal((dims, blocks, width))
-        if factor is not None:
-            noise = noise @ factor[:width, :width]
-        noise = noise.reshape(dims, blocks, users, group).transpose(0, 2, 1, 3)
-        noise = noise.reshape(dims, users, -1)
-        received = symbols * (1 / np.sqrt(users)) + (noise[0] if dims == 1
-                                                     else noise[0] + 1j * noise[1])
-        assert errors > 0 and np.array_equal(decoded, demodulate(received, cfg.scheme))
-
     def test_coded_beats_uncoded_at_high_snr(self):
         rng_bits = np.random.default_rng(15)
         bits = rng_bits.integers(0, 2, (7, 4320), dtype=np.uint8)
@@ -487,15 +459,3 @@ class TestRunLinkOnce:
         with pytest.raises(ValueError, match="0 or 1"):
             run_link_once(np.array(payload), config(users=1, coded=coded),
                           np.random.default_rng(0))
-
-    def test_total_power_mode_scales_noise_share(self):
-        # With total power fixed, 7 users at 0 dB see much more noise per
-        # user than a single user does.
-        errors = {}
-        for users in (1, 7):
-            cfg = config(users=users, snr_db=0.0, total_power=True)
-            rng = np.random.default_rng(16)
-            bits = rng.integers(0, 2, (users, 3000), dtype=np.uint8)
-            _, err = run_link_once(bits, cfg, rng)
-            errors[users] = err / bits.size
-        assert errors[7] > 2 * errors[1]

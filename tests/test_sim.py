@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 from dwtcdma import __version__, link, sim
 from dwtcdma.link import run_link_once
+from dwtcdma.modem import demodulate, modulate
 from dwtcdma.sim import (
     BerRecord,
     PointSpec,
@@ -238,6 +240,11 @@ class TestRunSweep:
           "max_info_bits": 2000}, "snr_db must be finite and not so low"),
         ({"snr_db": (-3082.5,), "coded_flags": (False,), "families": ("wh",),
           "wavelets": ("bior22",)}, "snr_db must be finite and not so low"),
+        ({"user_counts": (0, 7), "total_power": True}, "num_users must be in 1..8, got 0"),
+        # 10^308 is a float, but 7 users in total-power mode run at
+        # 10*log10(7) = 8.45 dB less.
+        ({"snr_db": (-3080.0,), "coded_flags": (False,), "total_power": True},
+         "snr_db must be finite and not so low"),
     ])
     def test_invalid_grid_fails_before_first_point(self, axes, message, monkeypatch):
         def unreachable(*args, **kwargs):
@@ -383,9 +390,83 @@ class TestSeeds:
             assert point_seed(3, haar._replace(wavelet="bior22")) != point_seed(3, haar)
         assert point_seed(3, p1._replace(levels=3)) != point_seed(3, p1)
 
-    def test_link_config_for_carries_total_power(self):
-        cfg = link_config_for(PointSpec(0.0, "bpsk", "wh", "haar", False, 2, 8, True))
-        assert cfg.total_power
+
+class TestTotalPower:
+    """Total-power mode is the per-user link at Eb/N0 - 10*log10(U)."""
+
+    @pytest.mark.parametrize("wavelet", ["haar", "bior22"])
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
+    def test_sigma_is_the_nominal_sigma_times_sqrt_users(self, scheme, wavelet):
+        for users, snr in itertools.product((1, 4, 7), (-10.0, 0.0, 7.5)):
+            point = PointSpec(snr, scheme, "gcs", wavelet, False, users, total_power=True)
+            cfg = link_config_for(point)
+            energies, _ = link.channel_operators(cfg.spreading, cfg.wavelet)
+            mean_energy = float(np.mean(energies[:users * cfg.symbols_per_block]))
+            expected = link.noise_sigma_for(snr, cfg, mean_energy) * math.sqrt(users)
+            assert cfg.noise_sigma == pytest.approx(expected, rel=1e-15, abs=0)
+            if users == 1:
+                nominal = link_config_for(point._replace(total_power=False))
+                assert cfg.noise_sigma == nominal.noise_sigma
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    @pytest.mark.parametrize("users", [4, 7])
+    def test_uncoded_haar_rows_follow_the_shifted_theory(self, scheme, users):
+        # Each user's share sits at 0 dB, where theory gives 7.9e-2.
+        snr = 10.0 * math.log10(users)
+        point = PointSpec(snr, scheme, "wh", "haar", False, users, total_power=True)
+        record = run_point(point, 10**6, 40_000, point_seed(1, point))
+        p = theoretical_ber(scheme, 0.0)
+        assert abs(record.ber - p) < 4.0 * math.sqrt(p * (1 - p) / record.bits_sent)
+
+    def test_record_keeps_the_nominal_snr(self):
+        point = PointSpec(2.5, "qpsk", "wh", "haar", True, 7, total_power=True)
+        shared = run_point(point, 1, 2000, 3)
+        assert shared.snr_db == 2.5
+        per_user = run_point(point._replace(total_power=False), 1, 2000, 3)
+        assert shared.bit_errors > per_user.bit_errors
+
+    @pytest.mark.parametrize("wavelet", ["haar", "bior22"])
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
+    def test_chunk_replays_by_hand(self, scheme, wavelet):
+        # Each of U users sends symbols / sqrt(U) through the noise of the
+        # nominal SNR.  Every detector is a sign test, and scaling by sqrt(U)
+        # leaves every sign unchanged, so the link, which runs at
+        # snr - 10*log10(U), decides what those symbols plus sigma z decide,
+        # with sigma the nominal std and z the link's own draw (see the link
+        # module docstring).
+        users, blocks = 3, 8
+        cfg = link_config_for(PointSpec(3.0, scheme, "wh", wavelet, False, users,
+                                        total_power=True))
+        group, width = cfg.symbols_per_block, users * cfg.symbols_per_block
+        n_bits = blocks * group * cfg.scheme.bits_per_symbol
+        bits = np.random.default_rng(22).integers(0, 2, (users, n_bits), dtype=np.uint8)
+        decoded, errors = run_link_once(bits, cfg, np.random.default_rng(23))
+
+        energies, factor = link.channel_operators(cfg.spreading, cfg.wavelet)
+        sigma = link.noise_sigma_for(3.0, cfg, float(np.mean(energies[:width])))
+        symbols = modulate(bits, cfg.scheme)
+        dims = 2 if np.iscomplexobj(symbols) else 1
+        noise = sigma * np.random.default_rng(23).standard_normal((dims, blocks, width))
+        if factor is not None:
+            noise = noise @ factor[:width, :width]
+        noise = noise.reshape(dims, blocks, users, group).transpose(0, 2, 1, 3)
+        noise = noise.reshape(dims, users, -1)
+        received = symbols * (1 / np.sqrt(users)) + (noise[0] if dims == 1
+                                                     else noise[0] + 1j * noise[1])
+        assert errors > 0 and np.array_equal(decoded, demodulate(received, cfg.scheme))
+
+    def test_noise_share_grows_with_users(self):
+        # With total power fixed, 7 users at 0 dB see much more noise per
+        # user than a single user does.
+        errors = {}
+        for users in (1, 7):
+            cfg = link_config_for(PointSpec(0.0, "bpsk", "wh", "haar", False, users,
+                                            total_power=True))
+            rng = np.random.default_rng(16)
+            bits = rng.integers(0, 2, (users, 3000), dtype=np.uint8)
+            _, err = run_link_once(bits, cfg, rng)
+            errors[users] = err / bits.size
+        assert errors[7] > 2 * errors[1]
 
 
 class TestTheory:

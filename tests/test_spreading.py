@@ -233,6 +233,13 @@ class TestMatrixValidationAndHelpers:
         with pytest.raises(ValueError, match="chip values"):
             aperiodic_autocorr([entry, -1])
 
+    def test_caller_array_stays_writeable(self):
+        h = np.array([[1, 1], [1, -1]])
+        matrix = SpreadingMatrix("wh", 2, h)
+        assert h.flags.writeable and not matrix.rows.flags.writeable
+        h[0, 0] = -1
+        assert matrix.rows[0, 0] == 1
+
     def test_build_matrix_dispatch(self):
         for family in FAMILIES:
             assert build_matrix(family, 8).family == family
