@@ -145,6 +145,25 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# The sweep flags: each stores into the SimConfig field named by its dest
+# and defaults to None; its help shows that field's default.
+_SWEEP_FLAGS = (
+    ("--snr", "snr_db", _parse_float_axis, "dB values: a:b:step or comma list"),
+    ("--scheme", "schemes", _parse_names, "comma list of bpsk,qpsk,dbpsk,dqpsk"),
+    ("--family", "families", _parse_names, "comma list of wh,gold,gcs"),
+    ("--wavelet", "wavelets", _parse_names, "comma list of haar,db2,bior22"),
+    ("--levels", "levels", _integer("--levels"), "wavelet cascade depth"),
+    ("--coded", "coded_flags", _parse_coded, "both, coded or uncoded"),
+    ("--users", "user_counts", _parse_int_axis, "user counts"),
+    ("--sf", "spreading_factor", _integer("--sf"), "spreading factor"),
+    ("--seed", "master_seed", _integer("--seed"), "master seed"),
+    ("--min-errors", "min_bit_errors", _integer("--min-errors"),
+     "stop rule: target bit errors per point"),
+    ("--max-bits", "max_info_bits", _integer("--max-bits"),
+     "stop rule: information-bit budget per point"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dwtcdma",
@@ -167,28 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = fec_sub.add_parser("verify", help="exhaustive codec verification")
     verify.set_defaults(func=lambda args: _print_checks(fec.verify_golay_invariants()))
 
-    # Each flag below stores into the SimConfig field named by its dest and
-    # defaults to None; its help shows that field's default.
     default = {f.name: f.default for f in dataclasses.fields(sim.SimConfig)}
     default["coded_flags"] = {v: k for k, v in _CODED.items()}[default["coded_flags"]]
     sweep = sub.add_parser("sweep", help="run a Monte-Carlo BER sweep")
     sweep.add_argument("--preset", choices=sorted(sim.PRESETS), help="figure-analogue grid")
-    sweep.add_argument("--snr", dest="snr_db", type=_parse_float_axis,
-                       help="dB values: a:b:step or comma list")
-    for flag, dest, parse, text in (
-        ("--scheme", "schemes", _parse_names, "comma list of bpsk,qpsk,dbpsk,dqpsk"),
-        ("--family", "families", _parse_names, "comma list of wh,gold,gcs"),
-        ("--wavelet", "wavelets", _parse_names, "comma list of haar,db2,bior22"),
-        ("--levels", "levels", _integer("--levels"), "wavelet cascade depth"),
-        ("--coded", "coded_flags", _parse_coded, "both, coded or uncoded"),
-        ("--users", "user_counts", _parse_int_axis, "user counts"),
-        ("--sf", "spreading_factor", _integer("--sf"), "spreading factor"),
-        ("--seed", "master_seed", _integer("--seed"), "master seed"),
-        ("--min-errors", "min_bit_errors", _integer("--min-errors"),
-         "stop rule: target bit errors per point"),
-        ("--max-bits", "max_info_bits", _integer("--max-bits"),
-         "stop rule: information-bit budget per point"),
-    ):
+    for flag, dest, parse, text in _SWEEP_FLAGS:
         value = default[dest]
         shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
         sweep.add_argument(flag, dest=dest, type=parse, help=f"{text} (default {shown})")
@@ -201,16 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The grid axes, which a preset sets itself, and their flags.
-_GRID_FLAGS = {"snr_db": "--snr", "schemes": "--scheme", "families": "--family",
-               "wavelets": "--wavelet", "coded_flags": "--coded", "user_counts": "--users"}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "sweep" and args.preset:
-        given = [flag for name, flag in _GRID_FLAGS.items() if getattr(args, name) is not None]
+        # The grid axes, which a preset sets itself.
+        given = [flag for flag, dest, *_ in _SWEEP_FLAGS
+                 if dest in sim.AXES and getattr(args, dest) is not None]
         if given:
             parser.error(f"{', '.join(given)} cannot be combined with --preset, "
                          "which sets its own grid")

@@ -121,10 +121,11 @@ class LinkConfig:
 
 
 def _as_snr(value) -> float:
-    """An SNR as a float; a bool or a non-number is an error."""
+    """An SNR as a float, with -0 read as 0; a bool or a non-number is
+    an error."""
     if not isinstance(value, (bool, np.bool_)):
         with contextlib.suppress(TypeError, ValueError):
-            return float(value)
+            return float(value) + 0.0
     raise ValueError(f"snr_db must hold numbers, got {value!r}")
 
 

@@ -2,7 +2,9 @@
 closed-form reference curves, result persistence and figure presets.
 
 A `SimConfig` is the one description of a sweep: a figure preset holds
-only the axes it sets, and the manifest echoes every field.
+only the axes it sets, and the manifest echoes every field.  `AXES` is
+the one list of the grid's axes: it builds the points, orders the
+records and names the grid flags that a preset refuses.
 
 Reproducibility contract: every sweep point derives its own seed by
 hashing (master_seed, point coordinates), so results are independent of
@@ -28,7 +30,8 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
+from itertools import product, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,6 +52,12 @@ _CHUNK_TARGET_BITS = 20_000
 
 # Thread-pool sizes that BLAS and OpenMP read once, when numpy loads.
 _THREAD_CAP_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+# The grid axes, in the order of a point's coordinates: each SimConfig
+# field that holds an axis, and the PointSpec and BerRecord field it sets.
+AXES = {"snr_db": "snr_db", "schemes": "scheme", "families": "family",
+        "wavelets": "wavelet", "coded_flags": "coded", "user_counts": "users"}
 
 
 class PointSpec(NamedTuple):
@@ -84,7 +93,10 @@ class BerRecord:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Sweep axes, stop rule and master seed."""
+    """Sweep axes, stop rule and master seed.
+
+    The fields named in AXES are the grid's axes, and points() is their
+    Cartesian product in AXES order."""
 
     snr_db: tuple = DEFAULT_SNR_GRID
     schemes: tuple = ("bpsk",)
@@ -104,7 +116,7 @@ class SimConfig:
         # and "5" as 5.0.
         object.__setattr__(self, "schemes", tuple(get_scheme(s).name for s in self.schemes))
         object.__setattr__(self, "snr_db", tuple(_as_snr(s) for s in self.snr_db))
-        for name in ("snr_db", "schemes", "families", "wavelets", "coded_flags", "user_counts"):
+        for name in AXES:
             value = tuple(getattr(self, name))
             if not value:
                 raise ValueError(f"sweep axis {name} is empty")
@@ -124,16 +136,8 @@ class SimConfig:
             link_config_for(point)
 
     def points(self) -> list[PointSpec]:
-        return [
-            PointSpec(snr, scheme, family, wavelet, coded, users,
-                      self.spreading_factor, self.total_power, self.levels)
-            for snr in self.snr_db
-            for scheme in self.schemes
-            for family in self.families
-            for wavelet in self.wavelets
-            for coded in self.coded_flags
-            for users in self.user_counts
-        ]
+        return [PointSpec(*coords, self.spreading_factor, self.total_power, self.levels)
+                for coords in product(*(getattr(self, name) for name in AXES))]
 
 
 def _check_at_least(name: str, value, least: int) -> None:
@@ -165,7 +169,7 @@ def point_seed(master_seed: int, point: PointSpec) -> int:
     with the wavelet named by its channel (haar for db2)."""
     point = _channel_point(point)
     text = "|".join([
-        str(int(master_seed)), repr(float(point.snr_db)), point.scheme, point.family,
+        str(int(master_seed)), repr(_as_snr(point.snr_db)), point.scheme, point.family,
         point.wavelet, str(int(point.coded)), str(int(point.users)),
         str(int(point.spreading_factor)), str(int(point.total_power)),
         str(int(point.levels)),
@@ -179,17 +183,25 @@ def link_config_for(point: PointSpec) -> LinkConfig:
     transmit power at one user's: each of the U users keeps a 1/U share
     of the energy, so its Eb/N0 is the nominal value less 10*log10(U) dB,
     and the point runs the per-user link at that SNR.  The snr_db of the
-    point, and of its record, stays the nominal value."""
+    point, and of its record, stays the nominal value, and so does an
+    error that names the SNR."""
     # A user count below 1 is left to LinkConfig, whose error names it.
     shift = 10.0 * math.log10(point.users) if point.total_power and point.users > 0 else 0.0
-    return LinkConfig(
-        spreading=build_matrix(point.family, point.spreading_factor),
-        wavelet=WaveletSpec(point.wavelet, levels=point.levels),
-        scheme=get_scheme(point.scheme),
-        num_users=point.users,
-        coded=point.coded,
-        snr_db=_as_snr(point.snr_db) - shift,
-    )
+    snr_db = _as_snr(point.snr_db)
+    try:
+        return LinkConfig(
+            spreading=build_matrix(point.family, point.spreading_factor),
+            wavelet=WaveletSpec(point.wavelet, levels=point.levels),
+            scheme=get_scheme(point.scheme),
+            num_users=point.users,
+            coded=point.coded,
+            snr_db=snr_db - shift,
+        )
+    except ValueError as exc:
+        if shift and str(exc).startswith("snr_db"):
+            raise ValueError(f"snr_db {snr_db} in total-power mode runs each of the "
+                             f"{point.users} users at {snr_db - shift} dB: {exc}") from None
+        raise
 
 
 def _chunk_bits_per_user(config: LinkConfig) -> int:
@@ -241,9 +253,8 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
         bit_errors += errors
         bits_sent += payload.size
     ber = bit_errors / bits_sent
-    record = BerRecord(point.snr_db, point.scheme, point.family, point.wavelet,
-                       point.coded, point.users, bits_sent, bit_errors, ber,
-                       seed, time.perf_counter() - started)
+    record = BerRecord(*point[:len(AXES)], bits_sent, bit_errors, ber, seed,
+                       time.perf_counter() - started)
     if table is not None:
         table[key] = record
     return record
@@ -269,8 +280,7 @@ def run_sweep(config: SimConfig, jobs: int = 1) -> list[BerRecord]:
             records = list(pool.map(run_point, *args, chunksize=1))
     else:
         records = list(map(run_point, *args))
-    records.sort(key=lambda r: (r.snr_db, r.scheme, r.family, r.wavelet,
-                                r.coded, r.users))
+    records.sort(key=attrgetter(*AXES.values()))
     return records
 
 
@@ -425,10 +435,9 @@ def _write_manifest(path: Path, config: SimConfig | None, preset: str | None) ->
     return path
 
 
-# How a plot curve's label shows each coordinate of a record.
-_CURVE_LABELS = {"snr_db": "{:g}dB".format, "scheme": str, "family": str, "wavelet": str,
-                 "coded": lambda coded: "coded" if coded else "uncoded",
-                 "users": "{}users".format}
+# How a plot curve's label shows each coordinate of a record, in AXES order.
+_CURVE_LABELS = ("{:g}dB".format, str, str, str,
+                 lambda coded: "coded" if coded else "uncoded", "{}users".format)
 
 
 def _plot_data(records: list[BerRecord], preset: str) -> str:
@@ -441,13 +450,14 @@ def _plot_data(records: list[BerRecord], preset: str) -> str:
     every x; a ValueError names the first empty cell.
     """
     x_axis = PRESETS[preset]["x"]
-    coords = [name for name in _CURVE_LABELS if name != x_axis]
+    label_of = dict(zip(AXES.values(), _CURVE_LABELS))
+    coords = [name for name in label_of if name != x_axis]
     shown = [name in ("family", "coded") or len({getattr(r, name) for r in records}) > 1
              for name in coords]
     table = {(getattr(r, x_axis), tuple(getattr(r, name) for name in coords)): r.ber
              for r in records}
     curves = sorted({curve for _, curve in table})
-    labels = ["-".join(_CURVE_LABELS[name](value)
+    labels = ["-".join(label_of[name](value)
                        for name, value, show in zip(coords, curve, shown) if show)
               for curve in curves]
     lines = [f"# {x_axis} " + " ".join(labels)]

@@ -168,6 +168,13 @@ def gold_family(u, v) -> list[np.ndarray]:
     return family
 
 
+def _preferred_pair(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-sequences u and v of the built-in preferred pair of degree m,
+    each from the all-ones seed."""
+    taps_u, taps_v = PREFERRED_PAIRS[m]
+    return lfsr_m_sequence(taps_u, [1] * m), lfsr_m_sequence(taps_v, [1] * m)
+
+
 def orthogonal_gold_matrix(n: int) -> SpreadingMatrix:
     """Orthogonal Gold matrix of order n = 2^m in closed form.
 
@@ -186,11 +193,7 @@ def orthogonal_gold_matrix(n: int) -> SpreadingMatrix:
             f"no preferred pair of degree {m} is configured "
             f"(supported spreading factors: {sorted(2 ** d for d in PREFERRED_PAIRS)})"
         )
-    taps_u, taps_v = PREFERRED_PAIRS[m]
-    ones = [1] * m
-    u = lfsr_m_sequence(taps_u, ones)
-    v = lfsr_m_sequence(taps_v, ones)
-    family = gold_family(u, v)
+    family = gold_family(*_preferred_pair(m))
     rows = np.array(family[2:] + family[:1])
     return SpreadingMatrix(FAMILY_GOLD, n, np.hstack([rows, np.ones((n, 1), dtype=np.int64)]))
 
@@ -269,10 +272,8 @@ def verify_spreading_invariants() -> list[tuple[str, bool, str]]:
                     for a, b in golay_pair_tree(n))
         checks.append((f"complementary pair sums N={n}", worst == 0, f"max |R_a+R_b| = {worst}"))
 
-    for m, (taps_u, taps_v) in PREFERRED_PAIRS.items():
-        ones = [1] * m
-        u = lfsr_m_sequence(taps_u, ones)
-        v = lfsr_m_sequence(taps_v, ones)
+    for m in PREFERRED_PAIRS:
+        u, v = _preferred_pair(m)
         acf_ok = all(bool(np.all(periodic_crosscorr(s, s)[1:] == -1)) for s in (u, v))
         checks.append((f"m-sequence autocorrelation m={m}", acf_ok, "-1 at all nonzero shifts"))
 

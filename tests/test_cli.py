@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dwtcdma import fec, sim, spreading
-from dwtcdma.cli import _parse_float_axis, build_parser, main
+from dwtcdma.cli import _SWEEP_FLAGS, _parse_float_axis, build_parser, main
 
 
 class TestCodesCommands:
@@ -177,6 +177,18 @@ class TestSweepCommand:
         assert main(["sweep", "--out", str(tmp_path), *argv]) == 0
         assert seen == [expected]
 
+    def test_every_axis_has_one_flag(self):
+        dests = [dest for _, dest, *_ in _SWEEP_FLAGS]
+        assert all(dests.count(name) == 1 for name in sim.AXES)
+
+    def test_help_shows_the_snr_default(self, capsys, monkeypatch):
+        # Wide enough that argparse keeps the default on one line.
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        default = ",".join(map(str, sim.DEFAULT_SNR_GRID))
+        assert f"dB values: a:b:step or comma list (default {default})" in capsys.readouterr().out
+
     def test_sweep_flags_default_to_none(self):
         # The defaults live in SimConfig alone.
         args = build_parser().parse_args(["sweep"])
@@ -204,6 +216,17 @@ class TestAxisParsing:
             assert main(argv) == 0
             csv.append((out / "results.csv").read_bytes())
         assert csv[0] == csv[1]
+
+    def test_negative_zero_snr_writes_the_rows_of_zero(self, tmp_path):
+        csv = []
+        for snr in ("-0", "0"):
+            out = tmp_path / f"snr{snr}"
+            argv = ["sweep", f"--snr={snr}", "--family", "wh", "--coded", "uncoded",
+                    "--users", "1", "--max-bits", "2000", "--out", str(out)]
+            assert main(argv) == 0
+            csv.append((out / "results.csv").read_bytes())
+        assert csv[0] == csv[1]
+        assert b"\n0.0,bpsk,wh,haar,0,1," in csv[0]
 
     def test_huge_range_refused_before_it_is_built(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -157,10 +157,13 @@ class TestRunSweep:
         assert len(records) == 2 * 3 * 2  # snr x families x coded
 
     def test_axis_permutation_invariance(self):
-        base = dict(schemes=("bpsk",), families=("wh", "gcs"), wavelets=("haar",),
-                    coded_flags=(False,), user_counts=(1,), master_seed=5, **FAST)
-        forward = run_sweep(SimConfig(snr_db=(0.0, 2.0), **base))
-        backward = run_sweep(SimConfig(snr_db=(2.0, 0.0), **base))
+        # Every axis listed in reverse: the records come back in one order.
+        axes = dict(snr_db=(0.0, 2.0), schemes=("bpsk", "dqpsk"), families=("wh", "gcs"),
+                    wavelets=("haar", "bior22"), coded_flags=(False, True), user_counts=(1, 2))
+        base = dict(master_seed=5, min_bit_errors=1, max_info_bits=200)
+        forward = run_sweep(SimConfig(**axes, **base))
+        backward = run_sweep(SimConfig(**{k: v[::-1] for k, v in axes.items()}, **base))
+        assert len(forward) == 2**6
         assert forward == backward
 
     def test_parallel_equals_serial(self):
@@ -313,6 +316,36 @@ def _count_chunks(monkeypatch):
     return wavelets
 
 
+class TestAxes:
+    def test_axes_name_the_point_and_record_coordinates(self):
+        coords = tuple(sim.AXES.values())
+        assert coords == PointSpec._fields[:6]
+        assert coords == tuple(f.name for f in dataclasses.fields(BerRecord))[:6]
+        assert set(sim.AXES) <= {f.name for f in dataclasses.fields(SimConfig)}
+
+    def test_points_equal_the_nested_loops(self):
+        config = SimConfig(snr_db=(0.0, 3.0), schemes=("bpsk", "qpsk"), families=("wh", "gold"),
+                           wavelets=("haar", "bior22"), coded_flags=(False, True),
+                           user_counts=(1, 2), spreading_factor=8, total_power=True, levels=5)
+        expected = [
+            PointSpec(snr, scheme, family, wavelet, coded, users,
+                      config.spreading_factor, config.total_power, config.levels)
+            for snr in config.snr_db
+            for scheme in config.schemes
+            for family in config.families
+            for wavelet in config.wavelets
+            for coded in config.coded_flags
+            for users in config.user_counts
+        ]
+        assert len(expected) == 2**6
+        assert config.points() == expected
+
+    def test_negative_zero_snr_is_zero(self):
+        assert math.copysign(1.0, SimConfig(snr_db=(-0.0,)).snr_db[0]) == 1.0
+        point = PointSpec(0.0, "bpsk", "wh", "haar", False, 1)
+        assert point_seed(3, point._replace(snr_db=-0.0)) == point_seed(3, point)
+
+
 class TestTwins:
     """Every orthonormal bank (haar, db2) is the same channel, so a db2
     point takes its haar twin's seed and run_sweep copies its record."""
@@ -417,6 +450,17 @@ class TestTotalPower:
         record = run_point(point, 10**6, 40_000, point_seed(1, point))
         p = theoretical_ber(scheme, 0.0)
         assert abs(record.ber - p) < 4.0 * math.sqrt(p * (1 - p) / record.bits_sent)
+
+    def test_overflow_error_names_the_nominal_snr(self):
+        point = PointSpec(-3080.0, "bpsk", "wh", "haar", False, 7, total_power=True)
+        with pytest.raises(ValueError) as error:
+            link_config_for(point)
+        message = str(error.value)
+        assert message.startswith("snr_db -3080.0 in total-power mode runs each of the 7 users "
+                                  "at -3088.45")
+        assert "snr_db must be finite and not so low that the noise overflows" in message
+        # Outside total-power mode the nominal SNR is the link's.
+        link_config_for(point._replace(total_power=False))
 
     def test_record_keeps_the_nominal_snr(self):
         point = PointSpec(2.5, "qpsk", "wh", "haar", True, 7, total_power=True)
