@@ -201,6 +201,27 @@ class TestApplyAwgn:
             assert np.array_equal(received.real, symbols.real + noise[0].reshape(users, -1))
             assert np.array_equal(received.imag, symbols.imag + noise[1].reshape(users, -1))
 
+    @pytest.mark.parametrize("wavelet", ["haar", "bior22"])
+    def test_chunk_pair_places_one_draw_with_both_signs(self, wavelet):
+        # The first chunk of a ChunkPair draws sigma z C_w as any chunk
+        # does; its twin draws nothing and receives the symbols minus that
+        # same noise, bit for bit.
+        cfg = config(users=3, wavelet=wavelet, scheme="qpsk", snr_db=3.0)
+        symbols = self.symbols(cfg, 9)
+        z = cfg.noise_sigma * np.random.default_rng(34).standard_normal((2, 9, 96))
+        if cfg.noise_factor is not None:
+            z = z @ cfg.noise_factor
+        noise = z.reshape(2, 9, 3, 32).transpose(0, 2, 1, 3).reshape(2, 3, -1)
+        noise = noise[0] + 1j * noise[1]
+        rng = np.random.default_rng(34)
+        pair = link.ChunkPair(rng)
+        first = apply_awgn(symbols, cfg, pair).copy()
+        state = rng.bit_generator.state
+        second = apply_awgn(symbols, cfg, pair)
+        assert rng.bit_generator.state == state
+        assert np.array_equal(first, symbols + noise)
+        assert np.array_equal(second, symbols - noise)
+
     def test_sample_variance(self):
         cfg = config(users=7, scheme="qpsk", snr_db=3.0)
         received = apply_awgn(np.zeros((7, 32 * 2000), dtype=complex), cfg,

@@ -30,6 +30,36 @@ from dwtcdma.sim import (
 FAST = {"min_bit_errors": 4, "max_info_bits": 4000}
 
 
+def _count_draws(monkeypatch):
+    """Record every payload and noise draw of the generators sim builds,
+    as ("bytes", length) or ("normal", shape)."""
+    draws = []
+
+    class Counted(np.random.Generator):
+        def bytes(self, length):
+            draws.append(("bytes", length))
+            return super().bytes(length)
+
+        def standard_normal(self, *args, out=None, **kwargs):
+            draws.append(("normal", out.shape))
+            return super().standard_normal(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(sim.np.random, "Generator", Counted)
+    return draws
+
+
+class _Negated:
+    """A generator whose standard normals are those of rng, negated."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        out = self.rng.standard_normal(*args, out=out, **kwargs)
+        np.negative(out, out=out)
+        return out
+
+
 class TestRunPoint:
     def test_noise_free_point_honors_bit_cap(self):
         record = run_point(PointSpec(200.0, "bpsk", "wh", "haar", False, 7),
@@ -80,6 +110,53 @@ class TestRunPoint:
         expected = BerRecord(*point[:6], 3003, errors, errors / 3003, seed)
         assert run_point(point, 10**6, 3003, seed) == expected
 
+    @pytest.mark.parametrize("point, per_user", [
+        (PointSpec(2.0, "bpsk", "wh", "haar", False, 3), 6666),
+        (PointSpec(2.0, "dqpsk", "gold", "bior22", True, 7), 2856)])
+    def test_chunk_pair_replays_from_its_draws(self, point, per_user):
+        # A full chunk (20,000 // 3 bits per user, or 20,000 // 7 rounded
+        # down to whole 12-bit words) is drawn as in the one-chunk replay.
+        # Its twin draws nothing: it sends the same payload through the
+        # same noise, negated.  Two full chunks fill the budget.
+        seed = point_seed(5, point)
+        rng = np.random.Generator(np.random.SFC64(seed))
+        size = point.users * per_user
+        raw = np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8)
+        payload = np.unpackbits(raw, count=size).reshape(point.users, -1)
+        replay = np.random.Generator(np.random.SFC64())
+        replay.bit_generator.state = rng.bit_generator.state
+        config = link_config_for(point)
+        _, first = run_link_once(payload, config, rng)
+        _, second = run_link_once(payload, config, _Negated(replay))
+        assert first > 0 and second > 0 and first != second
+        expected = BerRecord(*point[:6], 2 * size, first + second,
+                             (first + second) / (2 * size), seed)
+        assert run_point(point, 10**6, 2 * size, seed) == expected
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    def test_no_rail_errs_in_both_chunks_of_a_pair(self, scheme, monkeypatch):
+        """A coherent uncoded bit is the sign of one rail, s + n in the
+        first chunk and s - n in its twin.  It errs only where
+        s (s +- n) <= 0, and the two sum to 2 s^2 > 0, so no bit errs in
+        both chunks.  At 0 dB about 8%
+        of each chunk's bits err, so independent chunks would share about
+        120 of them.  A twin that reuses +n (the mutation) repeats the
+        first chunk's decisions, and then every errored bit errs twice."""
+        errors = []
+
+        def chunk(info_bits, config, rng):
+            decoded, count = run_link_once(info_bits, config, rng)
+            errors.append(decoded != info_bits)
+            return decoded, count
+
+        monkeypatch.setattr(sim, "run_link_once", chunk)
+        point = PointSpec(0.0, scheme, "wh", "haar", False, 7)
+        record = run_point(point, 10**6, 2 * 19_999, point_seed(9, point))
+        first, second = errors
+        assert first.sum() > 1000 and second.sum() > 1000
+        assert record.bit_errors == first.sum() + second.sum()
+        assert not np.any(first & second)
+
     @pytest.mark.parametrize("min_errors, max_bits, message", [
         (0, 4000, "min_bit_errors must be at least 1"),
         (4, 0, "max_info_bits must be at least 12"),
@@ -95,7 +172,9 @@ class TestRunPoint:
 
     def test_noise_sigma_computed_once_per_point(self, monkeypatch):
         # sigma is a constant of the link: a point of several chunks
-        # computes it when it configures the link, not once per chunk.
+        # computes it when it configures the link, not once per chunk or
+        # per draw.  50,000 bits are three chunks: a full one, its
+        # antithetic twin and a cut one, from two draws.
         calls = []
         noise_sigma_for = link.noise_sigma_for
 
@@ -108,14 +187,18 @@ class TestRunPoint:
             return run_link_once(*args)
 
         chunks = []
+        draws = _count_draws(monkeypatch)
         monkeypatch.setattr(link, "noise_sigma_for", counted)
         monkeypatch.setattr(sim, "run_link_once", chunk)
         run_point(PointSpec(4.0, "dbpsk", "wh", "bior22", True, 7), 10**6, 50_000, seed=3)
-        assert len(chunks) == 3 and calls == [4.0]
+        assert chunks == [(7, 2856), (7, 2856), (7, 1431)] and calls == [4.0]
+        assert [kind for kind, _ in draws] == ["bytes", "normal", "bytes", "normal"]
 
     def test_noise_stage_runs_once_per_chunk(self, monkeypatch):
         # link.apply_awgn is the chain's only noise stage: every chunk of a
-        # point passes through it once, under the name a tracer wraps.
+        # point passes through it once, under the name a tracer wraps.  The
+        # first two chunks share one ChunkPair, so the stage draws twice:
+        # for the first chunk and for the cut third one, which is fresh.
         chunks, noise = [], []
         apply_awgn = link.apply_awgn
 
@@ -124,13 +207,19 @@ class TestRunPoint:
             return run_link_once(*args)
 
         def counted(symbols, config, rng):
-            noise.append(symbols.shape)
+            noise.append(rng)
             return apply_awgn(symbols, config, rng)
 
+        draws = _count_draws(monkeypatch)
         monkeypatch.setattr(link, "apply_awgn", counted)
         monkeypatch.setattr(sim, "run_link_once", chunk)
         run_point(PointSpec(4.0, "qpsk", "wh", "bior22", True, 7), 10**6, 50_000, seed=3)
         assert len(chunks) == 3 and len(noise) == 3
+        assert isinstance(noise[0], link.ChunkPair) and noise[1] is noise[0]
+        assert isinstance(noise[2], np.random.Generator)
+        # 2856 and 1431 coded bits per user fill 86 and 44 blocks of QPSK.
+        assert [draw for draw in draws if draw[0] == "normal"] == [("normal", (2, 86, 224)),
+                                                                   ("normal", (2, 44, 224))]
 
     def test_gold_sf16_rejected(self):
         with pytest.raises(ValueError, match="degree 4"):
@@ -693,7 +782,24 @@ class TestOutputs:
             for point in extra]
         write_outputs(records, tmp_path)
         digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-        assert digest == "8f77c0db7093a1b8d7618be11a8c8782ddc9d4b950d14072ba6336328f377785"
+        assert digest == "a49cc7ab1540db6c3b222205ab5bd6db29d9f86cec71f487ed0fc845523f8d6d"
+
+    def test_golden_digest_of_first_chunks(self, tmp_path):
+        # Every point of this grid reaches its error target in its first
+        # chunk, a full one that opens a chunk pair, so no twin runs: the
+        # digest pins the values that the first chunk of any point
+        # computes, over all four schemes, haar and bior22, coded and
+        # uncoded, 1 and 7 users.  It is the same with and without chunk
+        # pairs, and no change to the pairs may move it.
+        config = SimConfig(snr_db=(0.0, 3.0), schemes=("bpsk", "qpsk", "dbpsk", "dqpsk"),
+                           families=("gcs",), wavelets=("haar", "bior22"),
+                           coded_flags=(False, True), user_counts=(1, 7),
+                           min_bit_errors=100, max_info_bits=10**6, master_seed=17)
+        records = run_sweep(config)
+        assert all(r.bit_errors >= 100 and r.bits_sent <= 20_000 for r in records)
+        write_outputs(records, tmp_path)
+        digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+        assert digest == "6a53b7cd65def504ca351e4dfc242d995655d4bb1330685e1f8d75648856bada"
 
     @pytest.mark.parametrize("preset, drop_last, message", [
         ("fig9", False, r"unknown preset 'fig9' \(choose from \['fig2'"),
