@@ -13,7 +13,7 @@ import decimal
 import math
 import sys
 
-from . import __version__, fec, sim, spreading
+from . import __version__, fec, modem, sim, spreading, wavelet
 
 
 _AXIS_RULE = "a comma list or an ascending low:high[:step] range"
@@ -149,9 +149,9 @@ def _cmd_sweep(args) -> int:
 # and defaults to None; its help shows that field's default.
 _SWEEP_FLAGS = (
     ("--snr", "snr_db", _parse_float_axis, "dB values: a:b:step or comma list"),
-    ("--scheme", "schemes", _parse_names, "comma list of bpsk,qpsk,dbpsk,dqpsk"),
-    ("--family", "families", _parse_names, "comma list of wh,gold,gcs"),
-    ("--wavelet", "wavelets", _parse_names, "comma list of haar,db2,bior22"),
+    ("--scheme", "schemes", _parse_names, f"comma list of {','.join(modem.SCHEMES)}"),
+    ("--family", "families", _parse_names, f"comma list of {','.join(spreading.FAMILIES)}"),
+    ("--wavelet", "wavelets", _parse_names, f"comma list of {','.join(wavelet.FAMILY_TOKENS)}"),
     ("--levels", "levels", _integer("--levels"), "wavelet cascade depth"),
     ("--coded", "coded_flags", _parse_coded, "both, coded or uncoded"),
     ("--users", "user_counts", _parse_int_axis, "user counts"),

@@ -27,7 +27,6 @@ import numpy as np
 FAMILY_WALSH = "wh"
 FAMILY_GOLD = "gold"
 FAMILY_GCS = "gcs"
-FAMILIES = (FAMILY_WALSH, FAMILY_GOLD, FAMILY_GCS)
 
 # Built-in preferred pairs of primitive polynomials, one per supported
 # degree, as ascending coefficient lists (x^0 ... x^m).  Degree 4 has no
@@ -40,10 +39,10 @@ PREFERRED_PAIRS = {
 
 @dataclass(frozen=True, eq=False)
 class SpreadingMatrix:
-    """N x N bank of +-1 chip rows, one assignable user code per row."""
+    """N x N bank of +-1 chip rows, one assignable user code per row; the
+    spreading factor N is the row count."""
 
     family: str
-    spreading_factor: int
     rows: np.ndarray  # shape (N, N), dtype int64, entries +-1
 
     def __post_init__(self):
@@ -51,13 +50,17 @@ class SpreadingMatrix:
         rows = _chips(self.rows).copy()
         rows.setflags(write=False)
         object.__setattr__(self, "rows", rows)
+        if rows.ndim != 2 or rows.shape[0] != rows.shape[1]:
+            raise ValueError(f"expected a square chip matrix, got shape {rows.shape}")
         n = self.spreading_factor
-        if rows.shape != (n, n):
-            raise ValueError(f"expected {n}x{n} chip matrix, got {rows.shape}")
         if not _is_power_of_two(n):
             raise ValueError(f"spreading factor {n} is not a power of two")
         if not np.array_equal(rows @ rows.T, n * np.eye(n, dtype=np.int64)):
             raise ValueError(f"{self.family} rows are not mutually orthogonal")
+
+    @property
+    def spreading_factor(self) -> int:
+        return len(self.rows)
 
 
 def _check_integer(name: str, value) -> None:
@@ -104,13 +107,13 @@ def periodic_crosscorr(a, b) -> np.ndarray:
 
 
 def walsh_hadamard(n: int) -> SpreadingMatrix:
-    """Sylvester-recursion Hadamard matrix of power-of-two order n."""
+    """Sylvester Hadamard matrix of power-of-two order n in closed form:
+    H[i, j] = (-1)^popcount(i & j)."""
     if not _is_power_of_two(n):
         raise ValueError(f"Walsh-Hadamard order must be a power of two, got {n}")
-    h = np.array([[1]], dtype=np.int64)
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    return SpreadingMatrix(FAMILY_WALSH, n, h)
+    index = np.arange(n)
+    parity = np.bitwise_count(index[:, None] & index) % 2
+    return SpreadingMatrix(FAMILY_WALSH, np.where(parity, -1, 1))
 
 
 def _bits(name: str, values) -> list[int]:
@@ -195,7 +198,7 @@ def orthogonal_gold_matrix(n: int) -> SpreadingMatrix:
         )
     family = gold_family(*_preferred_pair(m))
     rows = np.array(family[2:] + family[:1])
-    return SpreadingMatrix(FAMILY_GOLD, n, np.hstack([rows, np.ones((n, 1), dtype=np.int64)]))
+    return SpreadingMatrix(FAMILY_GOLD, np.hstack([rows, np.ones((n, 1), dtype=np.int64)]))
 
 
 def golay_pair_tree(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -223,11 +226,11 @@ def golay_complementary_matrix(n: int) -> SpreadingMatrix:
     tree's pairs at length n, stacked as the n rows."""
     pairs = golay_pair_tree(n)
     rows = np.array([seq for pair in pairs for seq in pair], dtype=np.int64)
-    return SpreadingMatrix(FAMILY_GCS, n, rows)
+    return SpreadingMatrix(FAMILY_GCS, rows)
 
 
 def build_matrix(family: str, n: int) -> SpreadingMatrix:
-    """Build a spreading matrix by family token ('wh', 'gold' or 'gcs').
+    """Build a spreading matrix by family token, one of FAMILIES.
 
     Memoised: every call with the same arguments returns the same
     immutable matrix, whose rows are write-protected.  n is checked
@@ -237,15 +240,17 @@ def build_matrix(family: str, n: int) -> SpreadingMatrix:
     return _build_matrix(family, int(n))
 
 
+# Each family's matrix construction, by family token; FAMILIES lists the tokens.
+_CONSTRUCTIONS = {FAMILY_WALSH: walsh_hadamard, FAMILY_GOLD: orthogonal_gold_matrix,
+                  FAMILY_GCS: golay_complementary_matrix}
+FAMILIES = tuple(_CONSTRUCTIONS)
+
+
 @lru_cache(maxsize=None)
 def _build_matrix(family: str, n: int) -> SpreadingMatrix:
-    if family == FAMILY_WALSH:
-        return walsh_hadamard(n)
-    if family == FAMILY_GOLD:
-        return orthogonal_gold_matrix(n)
-    if family == FAMILY_GCS:
-        return golay_complementary_matrix(n)
-    raise ValueError(f"unknown spreading family {family!r} (choose from {FAMILIES})")
+    if family not in _CONSTRUCTIONS:
+        raise ValueError(f"unknown spreading family {family!r} (choose from {FAMILIES})")
+    return _CONSTRUCTIONS[family](n)
 
 
 def correlation_value_bound(m: int) -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,21 +34,19 @@ FAMILY_TOKENS = ("haar", "db2", "bior22")
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Transform configuration: family token, block size, cascade depth."""
+    """Transform configuration: family token and cascade depth.  Every
+    transform runs on the system's one block of block_size points."""
 
+    block_size: ClassVar[int] = 256
     family: str = "haar"
-    block_size: int = 256
     levels: int = 8
 
     def __post_init__(self):
         if self.family not in FAMILY_TOKENS:
             raise ValueError(f"unknown wavelet family {self.family!r} (choose from {FAMILY_TOKENS})")
-        _check_integer("block_size", self.block_size)
         _check_integer("levels", self.levels)
-        if self.block_size < 2 or self.block_size % 2:
-            raise ValueError(f"block size {self.block_size} is not a positive multiple of 2")
-        # A level halves the block, so the depth is the block's count of factors 2.
-        depth = (self.block_size & -self.block_size).bit_length() - 1
+        # A level halves the block, so a block of 2^d points allows d levels.
+        depth = self.block_size.bit_length() - 1
         if not 1 <= self.levels <= depth:
             raise ValueError(f"levels must be in 1..{depth} for a {self.block_size}-point "
                              f"block, got {self.levels}")
@@ -128,8 +127,8 @@ def _validate_bank(bank: FilterBank) -> None:
     hp = bank.analysis_highpass.taps
     if abs(lp.sum() - np.sqrt(2.0)) > 1e-12:
         raise AssertionError(f"{bank.family}: lowpass does not sum to sqrt(2)")
-    # The matrix checks run at a length smaller than the default block, so
-    # that every tap wraps.
+    # The matrix checks run at a length smaller than the block, so that
+    # every tap wraps.
     n = 16
     if bank.orthonormal:
         level = np.vstack([_level_matrix(n, bank.analysis_lowpass),

@@ -36,7 +36,7 @@ class TestCodesCommands:
         def broken(family, n):
             rows = spreading.walsh_hadamard(n).rows.copy()
             rows[1, 0] *= -1
-            return spreading.SpreadingMatrix(family, n, rows)
+            return spreading.SpreadingMatrix(family, rows)
 
         monkeypatch.setattr(spreading, "build_matrix", broken)
         assert main(["codes", "check"]) == 1
@@ -188,6 +188,14 @@ class TestSweepCommand:
             main(["sweep", "--help"])
         default = ",".join(map(str, sim.DEFAULT_SNR_GRID))
         assert f"dB values: a:b:step or comma list (default {default})" in capsys.readouterr().out
+
+    def test_help_lists_the_known_names(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        out = capsys.readouterr().out
+        for names in ("bpsk,qpsk,dbpsk,dqpsk", "wh,gold,gcs", "haar,db2,bior22"):
+            assert f"comma list of {names} " in out
 
     def test_sweep_flags_default_to_none(self):
         # The defaults live in SimConfig alone.

@@ -173,8 +173,10 @@ class TestInvariants:
         assert not syndromes(words ^ ((1 << 23) - 1)).any()
 
     def test_generator_factorization(self):
-        product = fec._poly_mul(fec._poly_mul(0b11, G1), G2)
-        assert product == (1 << 23) | 1
+        # (1 + X) g1(X) g2(X) = X^23 + 1 over GF(2), on coefficient vectors.
+        g1, g2 = ((g >> np.arange(12)) & 1 for g in (G1, G2))
+        product = np.convolve(np.convolve([1, 1], g1), g2) % 2
+        assert product.tolist() == [1] + [0] * 22 + [1]
 
     def test_min_nonzero_weight_is_seven(self):
         words = encode_words(np.arange(1, 4096, dtype=np.uint32))

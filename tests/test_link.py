@@ -267,7 +267,7 @@ class TestLinkConfig:
 
     def test_rejects_incompatible_block(self):
         with pytest.raises(ValueError, match="divisible"):
-            LinkConfig(walsh_hadamard(8), WaveletSpec("haar", 4, 2), "bpsk", 1)
+            LinkConfig(walsh_hadamard(512), WaveletSpec("haar"), "bpsk", 1)
 
     def test_symbols_per_block(self):
         assert config(sf=8).symbols_per_block == 32

@@ -709,16 +709,20 @@ class TestOutputs:
             BerRecord(0.0, "bpsk", "wh", "haar", True, 7, 1500, 30, 0.02, 18),
         ]
 
+    @staticmethod
+    def config():
+        return SimConfig(**FAST)
+
     def test_csv_rows(self, tmp_path):
         # Every field but wall_time, floats as their repr, bools as 0 and 1.
-        write_outputs(self.records(), tmp_path)
+        write_outputs(self.records(), tmp_path, self.config())
         assert (tmp_path / "results.csv").read_text().splitlines()[1:] == [
             "0.0,bpsk,wh,haar,0,7,1000,80,0.08,17",
             "0.0,bpsk,wh,haar,1,7,1500,30,0.02,18",
         ]
 
     def test_csv_header_schema(self, tmp_path):
-        write_outputs([], tmp_path)
+        write_outputs([], tmp_path, self.config())
         text = (tmp_path / "results.csv").read_text()
         assert text == "snr_db,scheme,family,wavelet,coded,users,bits_sent,bit_errors,ber,seed\n"
 
@@ -780,7 +784,7 @@ class TestOutputs:
             run_point(point, config.min_bit_errors, config.max_info_bits,
                       point_seed(config.master_seed, point))
             for point in extra]
-        write_outputs(records, tmp_path)
+        write_outputs(records, tmp_path, config)
         digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
         assert digest == "a49cc7ab1540db6c3b222205ab5bd6db29d9f86cec71f487ed0fc845523f8d6d"
 
@@ -797,7 +801,7 @@ class TestOutputs:
                            min_bit_errors=100, max_info_bits=10**6, master_seed=17)
         records = run_sweep(config)
         assert all(r.bit_errors >= 100 and r.bits_sent <= 20_000 for r in records)
-        write_outputs(records, tmp_path)
+        write_outputs(records, tmp_path, config)
         digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
         assert digest == "6a53b7cd65def504ca351e4dfc242d995655d4bb1330685e1f8d75648856bada"
 
@@ -820,13 +824,23 @@ class TestOutputs:
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
         with pytest.raises(OSError, match="blocked"):
-            write_outputs(self.records(), target)
+            write_outputs(self.records(), target, self.config())
 
 
 class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("fig9")
+
+    @pytest.mark.parametrize("preset, x_axis", [("fig2", "snr_db"), ("fig5", "snr_db"),
+                                                 ("fig6", "users"), ("fig7", "users")])
+    def test_plot_axis(self, tmp_path, preset, x_axis):
+        # A preset that sets the user counts plots against them.
+        config = preset_config(preset, **FAST)
+        records = [BerRecord(*p[:6], 100, 1, 0.01, 0) for p in config.points()]
+        write_outputs(records, tmp_path, config, preset=preset)
+        header = (tmp_path / f"{preset}.dat").read_text().splitlines()[0]
+        assert header.split()[1] == x_axis
 
     def test_preset_axes(self):
         config = preset_config("fig3")

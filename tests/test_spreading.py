@@ -219,28 +219,36 @@ class TestCorrelations:
 class TestMatrixValidationAndHelpers:
     def test_rejects_non_orthogonal_rows(self):
         with pytest.raises(ValueError, match="orthogonal"):
-            SpreadingMatrix("wh", 2, np.array([[1, 1], [1, 1]]))
+            SpreadingMatrix("wh", np.array([[1, 1], [1, 1]]))
 
     def test_rejects_non_chip_values(self):
         with pytest.raises(ValueError):
-            SpreadingMatrix("wh", 2, np.array([[1, 2], [1, -1]]))
+            SpreadingMatrix("wh", np.array([[1, 2], [1, -1]]))
 
     @pytest.mark.parametrize("entry", [1.5, -1.2, 1j])
     def test_chip_values_are_checked_before_the_cast(self, entry):
         # A cast to int64 first would read 1.5 as 1 and -1.2 as -1.
         with pytest.raises(ValueError, match="chip values"):
-            SpreadingMatrix("wh", 2, entry * walsh_hadamard(2).rows)
+            SpreadingMatrix("wh", entry * walsh_hadamard(2).rows)
         with pytest.raises(ValueError, match="chip values"):
             aperiodic_autocorr([entry, -1])
 
     def test_caller_array_stays_writeable(self):
         h = np.array([[1, 1], [1, -1]])
-        matrix = SpreadingMatrix("wh", 2, h)
+        matrix = SpreadingMatrix("wh", h)
         assert h.flags.writeable and not matrix.rows.flags.writeable
         h[0, 0] = -1
         assert matrix.rows[0, 0] == 1
 
+    def test_order_is_the_row_count(self):
+        assert SpreadingMatrix("wh", walsh_hadamard(4).rows).spreading_factor == 4
+        with pytest.raises(ValueError, match="square"):
+            SpreadingMatrix("wh", walsh_hadamard(4).rows[:2])
+        with pytest.raises(ValueError, match="square"):
+            SpreadingMatrix("wh", [1, -1])
+
     def test_build_matrix_dispatch(self):
+        assert FAMILIES == ("wh", "gold", "gcs")
         for family in FAMILIES:
             assert build_matrix(family, 8).family == family
         with pytest.raises(ValueError, match="unknown spreading family"):

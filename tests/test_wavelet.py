@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -86,8 +86,8 @@ class TestForward:
         assert np.all(coeffs == 0)
 
     def test_haar_single_level_pairs(self):
-        coeffs = dwt_forward([1, 1, 1, 1], WaveletSpec("haar", block_size=4, levels=1))
-        assert np.allclose(coeffs, [np.sqrt(2), np.sqrt(2), 0, 0], atol=1e-14)
+        coeffs = dwt_forward(np.ones(256), WaveletSpec("haar", levels=1))
+        assert np.allclose(coeffs, np.repeat([np.sqrt(2), 0.0], 128), atol=1e-14)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="block length"):
@@ -157,18 +157,23 @@ class TestEnergyProperties:
         assert abs(variance - 1.0) < 0.05
 
     def test_levels_configurable(self):
-        spec = WaveletSpec("haar", block_size=256, levels=3)
+        spec = WaveletSpec("haar", levels=3)
         x = random_block(123)
         assert np.max(np.abs(dwt_inverse(dwt_forward(x, spec), spec) - x)) < 1e-10
 
+    def test_block_is_fixed(self):
+        # Family and depth are the settings; the 256-point block is not one.
+        assert [f.name for f in fields(WaveletSpec)] == ["family", "levels"]
+        assert WaveletSpec("db2", 3).block_size == WaveletSpec.block_size == 256
+        with pytest.raises(TypeError):
+            WaveletSpec("haar", block_size=128)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            WaveletSpec("haar", block_size=96, levels=6)
-        with pytest.raises(ValueError):
-            WaveletSpec("haar", block_size=256, levels=0)
+            WaveletSpec("haar", levels=0)
 
-    @pytest.mark.parametrize("field, value", [("levels", True), ("block_size", 256.0)])
+    @pytest.mark.parametrize("field, value", [("levels", True)])
     def test_spec_rejects_non_integer_sizes(self, field, value):
-        # True would build one level and 256.0 a float block size.
+        # True would build one level.
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             WaveletSpec("haar", **{field: value})
