@@ -22,9 +22,12 @@
 # snr_db - 10*log10(U), as the serial run.  Those grids cap every point
 # at 2000 bits, one cut chunk, so the fourth runs points of up to
 # 60,000 bits: a full chunk, its antithetic twin (the same payload and
-# noise, negated) and a cut chunk.  The script ends with one point
-# written as --snr=-0, which must give the results.csv of --snr 0: -0
-# reads as 0, so both hash one seed and write one row.
+# noise, negated) and a cut chunk.  It too runs haar, db2 and bior22, so
+# that in the parallel run each db2 point copies the record that a
+# worker simulated, over all those chunks, for its haar twin.  The
+# script ends with one point written as --snr=-0, which must give the
+# results.csv of --snr 0: -0 reads as 0, so both hash one seed and
+# write one row.
 set -eu
 dwtcdma="${DWTCDMA:-dwtcdma}"
 
@@ -45,7 +48,7 @@ cmp grid-serial/results.csv grid-parallel/results.csv
 $dwtcdma sweep $grid --total-power --jobs 1 --out total-serial
 $dwtcdma sweep $grid --total-power --jobs 2 --out total-parallel
 cmp total-serial/results.csv total-parallel/results.csv
-multi="--snr 4,6 --scheme bpsk,dqpsk --wavelet haar,bior22 --users 1,7 --max-bits 60000"
+multi="--snr 4,6 --scheme bpsk,dqpsk --wavelet haar,db2,bior22 --users 1,7 --max-bits 60000"
 $dwtcdma sweep $multi --jobs 1 --out multi-serial
 $dwtcdma sweep $multi --jobs 2 --out multi-parallel
 cmp multi-serial/results.csv multi-parallel/results.csv

@@ -62,10 +62,9 @@ and its noise are kept from the first run, so the twin neither encodes
 nor modulates nor draws.  sim.run_point twins every second chunk of a
 point; a chunk cut to the remaining budget is fresh and never twinned,
 and a first chunk runs the same whether or not a twin follows.  A
-coherent rail errs in at most one of the two runs.  DQPSK's two runs
+coherent rail errs in at most one of the two runs; DQPSK's two runs
 are positively correlated, because its differential decision keeps the
-square of the noise: a pair's error count has 1.09-1.27 times the
-variance of two independent runs (BPSK 0.93-1.01; see sim).
+square of the noise.
 """
 
 from __future__ import annotations

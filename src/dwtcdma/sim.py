@@ -12,27 +12,23 @@ execution order and of how many worker processes run the sweep.  The
 seed hashes the point's channel, not its wavelet label: over AWGN every
 orthonormal filter bank (haar, db2) is one channel, the identity with
 the same sigma, so a db2 point hashes "haar" and takes the seed of its
-haar twin, the point with the same coordinates over haar.  Its row then
-equals the twin's by construction, and run_sweep runs each twin pair
-once and copies the record.  Another master seed gives an independent
-replicate.  Under jobs > 1 each task gets its own empty table, pickled
-with its arguments, so both points of every twin pair simulate; the
-rows do not change.  A point draws from
-np.random.Generator(SFC64(seed)).  Chunks come in antithetic pairs
-(Law & Kelton, Simulation Modeling and Analysis, ch. 11).  A fresh chunk
-draws the payload bits of all users first, as the bits of one rng.bytes
-call unpacked most significant first, and then the channel noise z.  The
-chunk after a full fresh chunk is its antithetic twin: it draws nothing,
-sends the same payload and adds the same noise negated.  -z has the law of z and is
-independent of the payload, so every chunk has the exact law of a chunk.
-A chunk cut to the remaining budget is always fresh and never twinned.
-A first chunk draws and computes the same whether or not a twin follows,
-so a point that ends in its first chunk does not depend on the pairs.  The
-two chunks of a pair are correlated: a coherent rail errs in at most one
-of them.  The variance of a pair's error count, over that of two
-independent chunks, measured 0.93-1.01 for BPSK and 1.09-1.27 for DQPSK,
-whose differential decision keeps the square of the noise; a pair costs
-0.53-0.67 of two fresh chunks, so it gains at equal variance either way.
+haar twin, the point with the same coordinates over haar.  The seed
+names the simulation: run_sweep simulates each seed once, for any jobs
+count, and every other point of that seed copies the record with its
+own wavelet.  Another master seed gives an independent replicate.  A
+point draws from np.random.Generator(SFC64(seed)).  Chunks come in
+antithetic pairs (Law & Kelton, Simulation Modeling and Analysis,
+ch. 11).  A fresh chunk draws the payload bits of all users first, as
+the bits of one rng.bytes call unpacked most significant first, and
+then the channel noise z.  The chunk after a full fresh chunk is its
+antithetic twin: it draws nothing, sends the same payload and adds the
+same noise negated.  -z has the law of z and is independent of the
+payload, so every chunk has the exact law of a chunk.  A chunk cut to
+the remaining budget is always fresh and never twinned.  A first chunk
+draws and computes the same whether or not a twin follows, so a point
+that ends in its first chunk does not depend on the pairs.  The two
+chunks of a pair are correlated: a coherent rail errs in at most one of
+them.
 """
 
 from __future__ import annotations
@@ -166,26 +162,15 @@ def _check_stop_rule(min_bit_errors, max_info_bits) -> None:
     _check_at_least("max_info_bits", max_info_bits, fec.K_MSG)
 
 
-def _channel_point(point: PointSpec) -> PointSpec:
-    """The point with its wavelet named by its channel: every orthonormal
-    filter bank is the same channel as haar.  A point already named by
-    its channel comes back as itself: a fresh copy per point, made between
-    the records a caller keeps, raised the peak memory of repeated haar
-    sweeps."""
-    if point.wavelet != "haar" and filter_bank(point.wavelet).orthonormal:
-        return point._replace(wavelet="haar")
-    return point
-
-
 def point_seed(master_seed: int, point: PointSpec) -> int:
     """Stable 64-bit seed derived from the master seed and coordinates,
-    with the wavelet named by its channel (haar for db2)."""
-    point = _channel_point(point)
+    read as SimConfig reads them, with the wavelet named by its channel:
+    every orthonormal filter bank hashes "haar"."""
     text = "|".join([
-        str(int(master_seed)), repr(_as_snr(point.snr_db)), point.scheme, point.family,
-        point.wavelet, str(int(point.coded)), str(int(point.users)),
-        str(int(point.spreading_factor)), str(int(point.total_power)),
-        str(int(point.levels)),
+        str(int(master_seed)), repr(_as_snr(point.snr_db)), get_scheme(point.scheme).name,
+        point.family, "haar" if filter_bank(point.wavelet).orthonormal else point.wavelet,
+        str(int(point.coded)), str(int(point.users)), str(int(point.spreading_factor)),
+        str(int(point.total_power)), str(int(point.levels)),
     ])
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:8], "little")
@@ -235,9 +220,7 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
     the same payload through the same noise, negated (a link.ChunkPair;
     see the module docstring).  A chunk cut to the remaining budget is
     fresh and is never twinned, and a point that ends in its first chunk
-    does not depend on the pairs.  A pair's error count has 0.93-1.01
-    times the variance of two independent chunks for BPSK, and 1.09-1.27
-    times it for DQPSK.
+    does not depend on the pairs.
 
     The target is checked after every chunk of about 20,000 information
     bits, a twin included, so a min_bit_errors below one chunk's error
@@ -251,17 +234,19 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
     value at 5 dB, where a point runs 2.74 chunks on average, and 0.5%
     (0.7 SE) above it at 4 dB, where it runs one.
 
+    The record holds the point's SNR and scheme as SimConfig stores them:
+    -0 as 0, and the scheme name in lower case.
+
     table is internal to run_sweep: one record table per sweep, keyed by
-    the point with its wavelet named by its channel, the stop rule and
-    the seed.  A point found there is not simulated; its twin's record comes
-    back with the point's own wavelet and the wall time of this call.
+    the seed, which names the simulation (see point_seed); a sweep has
+    one stop rule.  A point whose seed is found there is not simulated:
+    the stored record comes back with the point's own wavelet, and with
+    the wall time of the run that simulated it.
     """
     _check_stop_rule(min_bit_errors, max_info_bits)
+    if table is not None and seed in table:
+        return replace(table[seed], wavelet=point.wavelet)
     started = time.perf_counter()
-    key = (_channel_point(point), min_bit_errors, max_info_bits, seed)
-    if table is not None and key in table:
-        return replace(table[key], wavelet=point.wavelet,
-                       wall_time=time.perf_counter() - started)
     config = link_config_for(point)
     rng = np.random.Generator(np.random.SFC64(seed))
     chunk = _chunk_bits_per_user(config)
@@ -289,10 +274,10 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
         bit_errors += errors
         bits_sent += payload.size
     ber = bit_errors / bits_sent
-    record = BerRecord(*point[:len(AXES)], bits_sent, bit_errors, ber, seed,
-                       time.perf_counter() - started)
+    record = BerRecord(_as_snr(point.snr_db), config.scheme.name, *point[2:len(AXES)],
+                       bits_sent, bit_errors, ber, seed, time.perf_counter() - started)
     if table is not None:
-        table[key] = record
+        table[seed] = record
     return record
 
 
@@ -302,21 +287,28 @@ def run_sweep(config: SimConfig, jobs: int = 1) -> list[BerRecord]:
     Records come back sorted by coordinates, identically for any jobs
     count, because every point owns a coordinate-derived seed.  Each point
     is one run_point call, in config.points() order, with positional
-    arguments; the calls share one record table, so a db2 point copies
-    its haar twin's record (see point_seed).  Under jobs > 1 each task
-    gets its own copy of the empty table, so no record is copied and
-    every point simulates.  jobs must be an integer of at least 1, as
-    for the CLI's --jobs.
+    arguments; the calls share one record table, so only the first point
+    of each seed simulates and the others copy its record (see
+    point_seed).  Under jobs > 1 a pool of worker processes first runs
+    the first point of each seed and fills the table, and the calls then
+    copy from it.  jobs must be an integer of at least 1, as for the
+    CLI's --jobs.
     """
     _check_at_least("jobs", jobs, 1)
     points = config.points()
-    args = (points, repeat(config.min_bit_errors), repeat(config.max_info_bits),
-            [point_seed(config.master_seed, point) for point in points], repeat({}))
+    seeds = [point_seed(config.master_seed, point) for point in points]
+    table = {}
     if jobs > 1:
+        first = {}
+        for seed, point in zip(seeds, points):
+            first.setdefault(seed, point)
         with _worker_pool(jobs) as pool:
-            records = list(pool.map(run_point, *args, chunksize=1))
-    else:
-        records = list(map(run_point, *args))
+            table.update(zip(first, pool.map(run_point, first.values(),
+                                             repeat(config.min_bit_errors),
+                                             repeat(config.max_info_bits), first,
+                                             chunksize=1)))
+    records = [run_point(point, config.min_bit_errors, config.max_info_bits, seed, table)
+               for point, seed in zip(points, seeds)]
     records.sort(key=attrgetter(*AXES.values()))
     return records
 

@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -6,7 +8,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -256,8 +257,8 @@ class TestRunSweep:
         assert forward == backward
 
     def test_parallel_equals_serial(self):
-        # Under jobs > 1 a db2 point may simulate in place of copying its
-        # haar twin; its row does not change.
+        # Under jobs > 1 the workers simulate the first point of each seed,
+        # and a db2 point copies its haar twin's record, as in one process.
         config = SimConfig(snr_db=(0.0, 1.0), families=("wh",), wavelets=("haar", "db2"),
                            user_counts=(2, 7), master_seed=9, **FAST)
         assert run_sweep(config, jobs=1) == run_sweep(config, jobs=3)
@@ -429,6 +430,17 @@ class TestAxes:
         assert len(expected) == 2**6
         assert config.points() == expected
 
+    def test_point_read_as_sim_config_reads_it(self):
+        # A caller's -0.0 and "BPSK" are SimConfig's 0.0 and "bpsk": one
+        # seed, one record and one CSV row.
+        canonical = PointSpec(0.0, "bpsk", "wh", "haar", False, 7)
+        spelled = canonical._replace(snr_db=-0.0, scheme="BPSK")
+        seed = point_seed(7, canonical)
+        assert point_seed(7, spelled) == seed
+        record = run_point(spelled, 10**6, 2000, seed)
+        assert record == run_point(canonical, 10**6, 2000, seed)
+        assert sim._format_record(record).startswith("0.0,bpsk,wh,haar,")
+
     def test_negative_zero_snr_is_zero(self):
         assert math.copysign(1.0, SimConfig(snr_db=(-0.0,)).snr_db[0]) == 1.0
         point = PointSpec(0.0, "bpsk", "wh", "haar", False, 1)
@@ -472,30 +484,57 @@ class TestTwins:
         assert run_sweep(config) == first
         assert len(wavelets) == 2 * 4 * 2 and set(wavelets) == {"haar"}
 
-    def test_copied_record_times_its_own_call(self, monkeypatch):
+    def test_copy_keeps_the_wall_time_of_its_run(self):
         table = {}
         haar = PointSpec(4.0, "bpsk", "wh", "haar", False, 7)
-        db2 = haar._replace(wavelet="db2")
         seed = point_seed(1, haar)
         first = run_point(haar, 1, 2000, seed, table)
-        ticks = iter([100.0, 100.25])
-        monkeypatch.setattr(sim, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
-        copy = run_point(db2, 1, 2000, seed, table)
-        assert copy == dataclasses.replace(first, wavelet="db2")
-        assert copy.wall_time == 0.25
-        assert len(table) == 1
+        copied = run_point(haar._replace(wavelet="db2"), 1, 2000, seed, table)
+        assert copied == dataclasses.replace(first, wavelet="db2")
+        assert copied.wall_time == first.wall_time > 0
+        assert table == {seed: first}
 
-    def test_table_keys_hold_the_stop_rule_and_seed(self, monkeypatch):
+    def test_table_is_keyed_by_the_seed(self, monkeypatch):
+        # The seed names the simulation: the same seed copies, another
+        # seed simulates.  Each point is one cut chunk.
         table = {}
         wavelets = _count_chunks(monkeypatch)
         haar = PointSpec(4.0, "bpsk", "wh", "haar", False, 7)
         db2 = haar._replace(wavelet="db2")
         run_point(haar, 1, 2000, 5, table)
-        run_point(db2, 2, 2000, 5, table)
-        run_point(db2, 1, 3000, 5, table)
-        run_point(db2, 1, 2000, 6, table)
         run_point(db2, 1, 2000, 5, table)
-        assert len(wavelets) == 4 and len(table) == 4
+        assert wavelets == ["haar"]
+        run_point(db2, 1, 2000, 6, table)
+        assert wavelets == ["haar", "db2"] and list(table) == [5, 6]
+
+    def test_parallel_sweep_simulates_each_seed_once(self, monkeypatch):
+        # A stand-in pool runs each task on a deep copy of its arguments,
+        # as spawned workers receive pickled ones.  It runs the first point
+        # of each seed; then every point is one positional run_point call,
+        # in points() order, that copies its record from the table.
+        config = SimConfig(wavelets=("haar", "db2", "bior22"), **TWIN_GRID)
+        serial = run_sweep(config, jobs=1)
+        calls = []
+
+        class Pool:
+            def map(self, fn, *iterables, chunksize):
+                results = [fn(*copy.deepcopy(args)) for args in zip(*iterables)]
+                calls.append("pool")
+                return iter(results)
+
+        real_run_point = sim.run_point
+
+        def spy(*args):
+            calls.append(args[0])
+            return real_run_point(*args)
+
+        wavelets = _count_chunks(monkeypatch)
+        monkeypatch.setattr(sim, "_worker_pool", lambda jobs: contextlib.nullcontext(Pool()))
+        monkeypatch.setattr(sim, "run_point", spy)
+        records = run_sweep(config, jobs=2)
+        assert len(wavelets) == 8 * 2 and set(wavelets) == {"haar", "bior22"}
+        assert calls[calls.index("pool") + 1:] == config.points()
+        assert records == serial
 
 
 class TestSeeds:
