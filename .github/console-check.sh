@@ -24,7 +24,10 @@
 # 60,000 bits: a full chunk, its antithetic twin (the same payload and
 # noise, negated) and a cut chunk.  It too runs haar, db2 and bior22, so
 # that in the parallel run each db2 point copies the record that a
-# worker simulated, over all those chunks, for its haar twin.  The
+# worker simulated, over all those chunks, for its haar twin, and it
+# runs BPSK, QPSK and DQPSK, so that spawned workers draw the flips of
+# uncoded one- and two-rail links over haar and their twins' flips, as
+# well as the normal draws of the other links.  The
 # script ends with one point written as --snr=-0, which must give the
 # results.csv of --snr 0: -0 reads as 0, so both hash one seed and
 # write one row.
@@ -48,7 +51,7 @@ cmp grid-serial/results.csv grid-parallel/results.csv
 $dwtcdma sweep $grid --total-power --jobs 1 --out total-serial
 $dwtcdma sweep $grid --total-power --jobs 2 --out total-parallel
 cmp total-serial/results.csv total-parallel/results.csv
-multi="--snr 4,6 --scheme bpsk,dqpsk --wavelet haar,db2,bior22 --users 1,7 --max-bits 60000"
+multi="--snr 4,6 --scheme bpsk,qpsk,dqpsk --wavelet haar,db2,bior22 --users 1,7 --max-bits 60000"
 $dwtcdma sweep $multi --jobs 1 --out multi-serial
 $dwtcdma sweep $multi --jobs 2 --out multi-parallel
 cmp multi-serial/results.csv multi-parallel/results.csv

@@ -20,15 +20,23 @@ point draws from np.random.Generator(SFC64(seed)).  Chunks come in
 antithetic pairs (Law & Kelton, Simulation Modeling and Analysis,
 ch. 11).  A fresh chunk draws the payload bits of all users first, as
 the bits of one rng.bytes call unpacked most significant first, and
-then the channel noise z.  The chunk after a full fresh chunk is its
-antithetic twin: it draws nothing, sends the same payload and adds the
-same noise negated.  -z has the law of z and is independent of the
-payload, so every chunk has the exact law of a chunk.  A chunk cut to
-the remaining budget is always fresh and never twinned.  A first chunk
-draws and computes the same whether or not a twin follows, so a point
-that ends in its first chunk does not depend on the pairs.  The two
-chunks of a pair are correlated: a coherent rail errs in at most one of
-them.
+then the channel noise z: one standard normal per rail of each despread
+symbol.  An uncoded BPSK or QPSK link over haar or db2 is a binary
+symmetric channel, and such a chunk draws only its flips: after its
+payload, one uniform u per rail, and it negates the rails where u < p,
+p = Q(a/sigma) (see the link module docstring).  rng.random gives
+multiples of 2^-53, so a rail whose p is below 2^-53 (1.1e-16) flips
+with probability up to 2^-53: at most 1.1e-9 extra flips expected in a
+10 Mbit point.  Coded links, the differential schemes and bior22 keep
+the normal draw.  The chunk after a full fresh chunk is its antithetic
+twin: it draws nothing, sends the same payload and adds the same noise
+negated, or flips the rails where u > 1 - p.  -z has the law of z and
+is independent of the payload, so every chunk has the exact law of a
+chunk.  A chunk cut to the remaining budget is always fresh and never
+twinned.  A first chunk draws and computes the same whether or not a
+twin follows, so a point that ends in its first chunk does not depend
+on the pairs.  The two chunks of a pair are correlated: a coherent rail
+errs in at most one of them.
 """
 
 from __future__ import annotations
@@ -215,12 +223,15 @@ def run_point(point: PointSpec, min_bit_errors: int = DEFAULT_MIN_ERRORS,
     """Estimate BER at one point: run chunks until the error target is
     met or the bit budget is exhausted.
 
-    Chunks 0, 2, 4, ... draw a fresh payload and fresh noise.  Chunk
-    2t + 1 is the antithetic twin of chunk 2t: it draws nothing, and runs
-    the same payload through the same noise, negated (a link.ChunkPair;
-    see the module docstring).  A chunk cut to the remaining budget is
-    fresh and is never twinned, and a point that ends in its first chunk
-    does not depend on the pairs.
+    Chunks 0, 2, 4, ... draw a fresh payload and fresh noise: one normal
+    per rail, or on an uncoded BPSK or QPSK link over haar or db2 one
+    uniform u per rail, which flips the rails where u < p (see the
+    module docstring; a coded link keeps the normal draw).  Chunk 2t + 1
+    is the antithetic twin of chunk 2t: it draws nothing, and runs the
+    same payload through the same noise, negated, or flips the rails
+    where u > 1 - p (a link.ChunkPair).  A chunk cut to the remaining
+    budget is fresh and is never twinned, and a point that ends in its
+    first chunk does not depend on the pairs.
 
     The target is checked after every chunk of about 20,000 information
     bits, a twin included, so a min_bit_errors below one chunk's error

@@ -1,4 +1,5 @@
 import itertools
+import math
 import threading
 import tracemalloc
 
@@ -156,7 +157,9 @@ class TestNoiseSigma:
 
 
 class TestApplyAwgn:
-    """The chain's noise stage: symbols (U, blocks*G) plus sigma z C_w."""
+    """The chain's noise stage: symbols (U, blocks*G) plus sigma z C_w,
+    or on an uncoded coherent link over haar or db2 the symbols with the
+    rails it flips negated.  The normal draw is pinned on coded links."""
 
     @staticmethod
     def symbols(cfg, blocks, seed=30):
@@ -168,7 +171,7 @@ class TestApplyAwgn:
     @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
     def test_one_draw_per_rail_of_each_despread_symbol(self, scheme, wavelet):
         # 3 users over 5 blocks of G = 32 slots: one (dims, 5, 96) draw.
-        cfg = config(users=3, wavelet=wavelet, scheme=scheme, snr_db=3.0)
+        cfg = config(users=3, wavelet=wavelet, scheme=scheme, coded=True, snr_db=3.0)
         symbols = self.symbols(cfg, 5)
         rng, twin = np.random.default_rng(31), np.random.default_rng(31)
         received = apply_awgn(symbols, cfg, rng)
@@ -179,7 +182,7 @@ class TestApplyAwgn:
     def test_one_draw_is_real_parts_then_imaginary_parts(self):
         # Over haar C is the identity, so the noise is sigma z itself; slot
         # k*G + g of block b is user k's symbol b*G + g.
-        cfg = config(users=3, scheme="qpsk", snr_db=3.0)
+        cfg = config(users=3, scheme="qpsk", coded=True, snr_db=3.0)
         symbols = self.symbols(cfg, 5)
         z = cfg.noise_sigma * np.random.default_rng(32).standard_normal((2, 5, 96))
         noise = z.reshape(2, 5, 3, 32).transpose(0, 2, 1, 3).reshape(2, 3, 160)
@@ -206,7 +209,7 @@ class TestApplyAwgn:
         # The first chunk of a ChunkPair draws sigma z C_w as any chunk
         # does; its twin draws nothing and receives the symbols minus that
         # same noise, bit for bit.
-        cfg = config(users=3, wavelet=wavelet, scheme="qpsk", snr_db=3.0)
+        cfg = config(users=3, wavelet=wavelet, scheme="qpsk", coded=True, snr_db=3.0)
         symbols = self.symbols(cfg, 9)
         z = cfg.noise_sigma * np.random.default_rng(34).standard_normal((2, 9, 96))
         if cfg.noise_factor is not None:
@@ -223,11 +226,53 @@ class TestApplyAwgn:
         assert np.array_equal(second, symbols - noise)
 
     def test_sample_variance(self):
-        cfg = config(users=7, scheme="qpsk", snr_db=3.0)
+        cfg = config(users=7, scheme="qpsk", coded=True, snr_db=3.0)
         received = apply_awgn(np.zeros((7, 32 * 2000), dtype=complex), cfg,
                               np.random.default_rng(6))
         assert np.var(received.real) == pytest.approx(cfg.noise_sigma**2, rel=0.01)
         assert np.var(received.imag) == pytest.approx(cfg.noise_sigma**2, rel=0.01)
+
+    @staticmethod
+    def flipped(symbols, cfg, flips):
+        """symbols with the rails where flips holds negated; flips is laid
+        out as the rails, (U, blocks, G, dims)."""
+        rails = symbols.view(np.float64).reshape(flips.shape)
+        return np.where(flips, -rails, rails).reshape(len(symbols), -1).view(symbols.dtype)
+
+    @pytest.mark.parametrize("users", [1, 3, 7])
+    @pytest.mark.parametrize("wavelet", ["haar", "db2"])
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    def test_flip_link_negates_the_rails_whose_uniform_is_below_p(self, scheme, wavelet, users):
+        # One uniform per rail, laid out as the rails: 5 blocks of G = 32
+        # slots per user and one rail (BPSK) or two (QPSK) per symbol.
+        cfg = config(users=users, wavelet=wavelet, scheme=scheme, snr_db=0.0)
+        symbols = self.symbols(cfg, 5)
+        rng, replay = np.random.default_rng(35), np.random.default_rng(35)
+        received = apply_awgn(symbols, cfg, rng)
+        u = replay.random((users, 5, 32, 1 if scheme == "bpsk" else 2))
+        assert rng.random() == replay.random()
+        assert received.dtype == symbols.dtype
+        assert np.array_equal(received, self.flipped(symbols, cfg, u < cfg.flip_probability))
+        # About 8% of the rails flip at 0 dB.
+        assert 0.03 < np.mean(u < cfg.flip_probability) < 0.15
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    def test_chunk_pair_flips_each_rail_in_at_most_one_chunk(self, scheme):
+        # The first chunk flips where u < p; its twin draws nothing and
+        # flips where u > 1 - p, so no rail flips in both.
+        cfg = config(users=7, scheme=scheme, snr_db=-6.0)
+        symbols = self.symbols(cfg, 9)
+        u = np.random.default_rng(36).random((7, 9, 32, symbols.itemsize // 8))
+        rng = np.random.default_rng(36)
+        pair = link.ChunkPair(rng)
+        first = apply_awgn(symbols, cfg, pair).copy()
+        state = rng.bit_generator.state
+        second = apply_awgn(symbols, cfg, pair)
+        assert rng.bit_generator.state == state
+        p = cfg.flip_probability
+        assert np.array_equal(first, self.flipped(symbols, cfg, u < p))
+        assert np.array_equal(second, self.flipped(symbols, cfg, u > 1 - p))
+        assert np.any(u < p) and np.any(u > 1 - p) and not np.any((u < p) & (u > 1 - p))
 
     def test_deterministic_given_seed(self):
         cfg = config(users=3, wavelet="bior22", scheme="qpsk", snr_db=3.0)
@@ -268,6 +313,30 @@ class TestLinkConfig:
     def test_rejects_incompatible_block(self):
         with pytest.raises(ValueError, match="divisible"):
             LinkConfig(walsh_hadamard(512), WaveletSpec("haar"), "bpsk", 1)
+
+    def test_flip_probability_only_where_the_link_is_a_binary_symmetric_channel(self):
+        # Uncoded BPSK and QPSK over haar and db2 flip each rail with
+        # p = Q(a / sigma); every other link keeps the normal draw.
+        for scheme, wavelet, coded in itertools.product(
+                ("bpsk", "qpsk", "dbpsk", "dqpsk"), ("haar", "db2", "bior22"), (False, True)):
+            cfg = config(scheme=scheme, wavelet=wavelet, coded=coded, snr_db=4.0)
+            if coded or scheme.startswith("d") or wavelet == "bior22":
+                assert cfg.flip_probability is None
+                continue
+            a = 1.0 if scheme == "bpsk" else 1.0 / math.sqrt(2.0)
+            assert cfg.flip_probability == 0.5 * math.erfc(a / (cfg.noise_sigma * math.sqrt(2.0)))
+            # Q(sqrt(2 Eb/N0)) at 4 dB.
+            assert cfg.flip_probability == pytest.approx(
+                0.5 * math.erfc(math.sqrt(10**0.4)), rel=1e-13)
+
+    def test_flip_probability_is_derived(self):
+        with pytest.raises(TypeError):
+            LinkConfig(build_matrix("wh", 8), WaveletSpec("haar"), "bpsk", flip_probability=0.1)
+        # An SNR that underflows N0 leaves sigma 0, and no rail flips.
+        cfg = config(snr_db=4000.0)
+        assert cfg.noise_sigma == 0.0 and cfg.flip_probability == 0.0
+        bits = np.random.default_rng(37).integers(0, 2, (7, 300), dtype=np.uint8)
+        assert run_link_once(bits, cfg, np.random.default_rng(38))[1] == 0
 
     def test_symbols_per_block(self):
         assert config(sf=8).symbols_per_block == 32
@@ -441,12 +510,13 @@ class TestRunLinkOnce:
     @pytest.mark.parametrize("wavelet", ["haar", "bior22"])
     @pytest.mark.parametrize("scheme", ["bpsk", "qpsk", "dbpsk", "dqpsk"])
     def test_noise_is_one_draw_per_despread_symbol(self, scheme, wavelet, users):
-        # 100 symbols per user fill 4 blocks of G = 32 slots, so the chain
+        # 60 information bits per rail are 5 Golay words, whose 115 coded
+        # symbols per user fill 4 blocks of G = 32 slots, so the chain
         # draws (dims, 4, users * 32) normals, not (dims, 4, 256): one real
         # dimension for BPSK, whose decision reads Re(y) alone, and two for
         # the schemes that read the imaginary part.
-        cfg = config(users=users, wavelet=wavelet, scheme=scheme, snr_db=3.0)
-        n_bits = 100 * cfg.scheme.bits_per_symbol
+        cfg = config(users=users, wavelet=wavelet, scheme=scheme, coded=True, snr_db=3.0)
+        n_bits = 60 * cfg.scheme.bits_per_symbol
         bits = np.random.default_rng(17).integers(0, 2, (users, n_bits), dtype=np.uint8)
         rng, twin = np.random.default_rng(18), np.random.default_rng(18)
         run_link_once(bits, cfg, rng)

@@ -13,7 +13,10 @@ bits: 4.3 for a coded link, whose decoder errs by whole codewords of
 several bit errors; 1.3 for an uncoded differential link, whose
 decisions share a symbol with their neighbours; 1 otherwise.  The cells
 cover both wavelet channels (haar's identity and bior22's coloured
-noise), all three families and four schemes, coded and uncoded.
+noise), all three families and four schemes, coded and uncoded.  The
+uncoded QPSK cell over haar is a link that draws only its flips (see
+the link module docstring), against the literal chain's Gaussian
+time-domain noise.
 """
 
 import math
@@ -33,6 +36,7 @@ CELLS = [
     (PointSpec(8.0, "dbpsk", "gold", "bior22", False, 7), 1603),
     (PointSpec(4.0, "qpsk", "gcs", "haar", True, 7), 1604),
     (PointSpec(9.0, "dqpsk", "gcs", "bior22", True, 7), 1605),
+    (PointSpec(4.0, "qpsk", "gcs", "haar", False, 7), 1606),
 ]
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwtcdma import __version__, link, sim
+from dwtcdma import __version__, fec, link, sim
 from dwtcdma.link import run_link_once
 from dwtcdma.modem import demodulate, modulate
 from dwtcdma.sim import (
@@ -33,7 +33,7 @@ FAST = {"min_bit_errors": 4, "max_info_bits": 4000}
 
 def _count_draws(monkeypatch):
     """Record every payload and noise draw of the generators sim builds,
-    as ("bytes", length) or ("normal", shape)."""
+    as ("bytes", length), ("normal", shape) or ("uniform", shape)."""
     draws = []
 
     class Counted(np.random.Generator):
@@ -44,6 +44,10 @@ def _count_draws(monkeypatch):
         def standard_normal(self, *args, out=None, **kwargs):
             draws.append(("normal", out.shape))
             return super().standard_normal(*args, out=out, **kwargs)
+
+        def random(self, *args, out=None, **kwargs):
+            draws.append(("uniform", out.shape))
+            return super().random(*args, out=out, **kwargs)
 
     monkeypatch.setattr(sim.np.random, "Generator", Counted)
     return draws
@@ -112,10 +116,10 @@ class TestRunPoint:
         assert run_point(point, 10**6, 3003, seed) == expected
 
     @pytest.mark.parametrize("point, per_user", [
-        (PointSpec(2.0, "bpsk", "wh", "haar", False, 3), 6666),
+        (PointSpec(2.0, "bpsk", "wh", "haar", True, 3), 6660),
         (PointSpec(2.0, "dqpsk", "gold", "bior22", True, 7), 2856)])
     def test_chunk_pair_replays_from_its_draws(self, point, per_user):
-        # A full chunk (20,000 // 3 bits per user, or 20,000 // 7 rounded
+        # A full chunk (20,000 // 3 or 20,000 // 7 bits per user, rounded
         # down to whole 12-bit words) is drawn as in the one-chunk replay.
         # Its twin draws nothing: it sends the same payload through the
         # same noise, negated.  Two full chunks fill the budget.
@@ -135,13 +139,42 @@ class TestRunPoint:
         assert run_point(point, 10**6, 2 * size, seed) == expected
 
     @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    def test_flip_pair_replays_from_one_uniform_draw(self, scheme):
+        # An uncoded coherent haar point draws its payload, then one
+        # uniform u per rail of its padded blocks (see the link module
+        # docstring).  Chunk 0 flips the rails where u < p, and its twin
+        # the rails where u > 1 - p, p being the theory's BER.
+        point = PointSpec(2.0, scheme, "wh", "haar", False, 3)
+        seed, per_user, size = point_seed(5, point), 6666, 3 * 6666
+        rng = np.random.Generator(np.random.SFC64(seed))
+        raw = np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8)
+        payload = np.unpackbits(raw, count=size).reshape(3, per_user)
+        bits_per_block = 32 * (1 if scheme == "bpsk" else 2)
+        padded = np.zeros((3, -(-per_user // bits_per_block) * bits_per_block), dtype=np.uint8)
+        padded[:, :per_user] = payload
+        symbols = modulate(padded, scheme)
+        rails = symbols.view(np.float64).reshape(3, -1, 32, symbols.itemsize // 8)
+        u = rng.random(rails.shape)
+        p = theoretical_ber(scheme, 2.0)
+        errors = []
+        for flips in (u < p, u > 1 - p):
+            received = np.where(flips, -rails, rails).reshape(3, -1).view(symbols.dtype)
+            decided = demodulate(received, scheme)[:, :per_user]
+            errors.append(int(np.count_nonzero(decided != payload)))
+        assert min(errors) > 0
+        expected = BerRecord(*point[:6], 2 * size, sum(errors), sum(errors) / (2 * size), seed)
+        assert run_point(point, 10**6, 2 * size, seed) == expected
+
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
     def test_no_rail_errs_in_both_chunks_of_a_pair(self, scheme, monkeypatch):
         """A coherent uncoded bit is the sign of one rail, s + n in the
         first chunk and s - n in its twin.  It errs only where
         s (s +- n) <= 0, and the two sum to 2 s^2 > 0, so no bit errs in
-        both chunks.  At 0 dB about 8%
-        of each chunk's bits err, so independent chunks would share about
-        120 of them.  A twin that reuses +n (the mutation) repeats the
+        both chunks.  Over haar the link draws the flips of that law: a
+        rail with uniform u flips where u < p in the first chunk and where
+        u > 1 - p in the twin.  At 0 dB about 8% of each chunk's bits
+        err, so independent chunks would share about 120 of them.  A twin
+        that reuses +n, or flips where u < p (the mutations), repeats the
         first chunk's decisions, and then every errored bit errs twice."""
         errors = []
 
@@ -221,6 +254,16 @@ class TestRunPoint:
         # 2856 and 1431 coded bits per user fill 86 and 44 blocks of QPSK.
         assert [draw for draw in draws if draw[0] == "normal"] == [("normal", (2, 86, 224)),
                                                                    ("normal", (2, 44, 224))]
+
+    def test_flip_link_draws_payload_then_one_uniform_per_rail(self, monkeypatch):
+        # An uncoded QPSK point over haar of 50,000 bits: a full chunk of
+        # 2857 bits per user (45 blocks of 32 symbols), its twin, which
+        # draws nothing, and a cut chunk of 1429 (23 blocks).  Each fresh
+        # chunk draws its payload, then one uniform per rail.
+        draws = _count_draws(monkeypatch)
+        run_point(PointSpec(4.0, "qpsk", "wh", "haar", False, 7), 10**6, 50_000, seed=3)
+        assert draws == [("bytes", 2500), ("uniform", (7, 45, 32, 2)),
+                         ("bytes", 1251), ("uniform", (7, 23, 32, 2))]
 
     def test_gold_sf16_rejected(self):
         with pytest.raises(ValueError, match="degree 4"):
@@ -605,18 +648,23 @@ class TestTotalPower:
         # leaves every sign unchanged, so the link, which runs at
         # snr - 10*log10(U), decides what those symbols plus sigma z decide,
         # with sigma the nominal std and z the link's own draw (see the link
-        # module docstring).
+        # module docstring).  The link is coded, so it draws z itself: 11
+        # Golay words per rail fill 8 blocks of 32 symbols but the last 3.
         users, blocks = 3, 8
-        cfg = link_config_for(PointSpec(3.0, scheme, "wh", wavelet, False, users,
+        cfg = link_config_for(PointSpec(3.0, scheme, "wh", wavelet, True, users,
                                         total_power=True))
         group, width = cfg.symbols_per_block, users * cfg.symbols_per_block
-        n_bits = blocks * group * cfg.scheme.bits_per_symbol
+        n_bits = 132 * cfg.scheme.bits_per_symbol
         bits = np.random.default_rng(22).integers(0, 2, (users, n_bits), dtype=np.uint8)
         decoded, errors = run_link_once(bits, cfg, np.random.default_rng(23))
 
         energies, factor = link.channel_operators(cfg.spreading, cfg.wavelet)
         sigma = link.noise_sigma_for(3.0, cfg, float(np.mean(energies[:width])))
-        symbols = modulate(bits, cfg.scheme)
+        coded_bits = fec.encode_stream(bits)[0]
+        n_coded = coded_bits.shape[1]
+        padded = np.zeros((users, blocks * group * cfg.scheme.bits_per_symbol), dtype=np.uint8)
+        padded[:, :n_coded] = coded_bits
+        symbols = modulate(padded, cfg.scheme)
         dims = 2 if np.iscomplexobj(symbols) else 1
         noise = sigma * np.random.default_rng(23).standard_normal((dims, blocks, width))
         if factor is not None:
@@ -625,7 +673,8 @@ class TestTotalPower:
         noise = noise.reshape(dims, users, -1)
         received = symbols * (1 / np.sqrt(users)) + (noise[0] if dims == 1
                                                      else noise[0] + 1j * noise[1])
-        assert errors > 0 and np.array_equal(decoded, demodulate(received, cfg.scheme))
+        hard = demodulate(received, cfg.scheme)[:, :n_coded]
+        assert errors > 0 and np.array_equal(decoded, fec.decode_stream(hard, n_bits))
 
     def test_noise_share_grows_with_users(self):
         # With total power fixed, 7 users at 0 dB see much more noise per
@@ -639,6 +688,48 @@ class TestTotalPower:
             _, err = run_link_once(bits, cfg, rng)
             errors[users] = err / bits.size
         assert errors[7] > 2 * errors[1]
+
+
+class TestFlips:
+    """An uncoded coherent link over haar or db2 draws only its flips.
+    Each rail errs with p = Q(a/sigma), independently of the others, so a
+    row's errors are a binomial count at theoretical_ber: its z, with the
+    binomial variance, lies within 4.  The two chunks of a pair err on
+    disjoint rails, which only lowers the variance."""
+
+    @staticmethod
+    def z(record, p):
+        return (record.ber - p) / math.sqrt(p * (1 - p) / record.bits_sent)
+
+    @pytest.mark.parametrize("snr", [-6.0, 0.0, 4.0, 7.0])
+    @pytest.mark.parametrize("users", [1, 7])
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    def test_rows_follow_the_theory(self, scheme, users, snr):
+        # p runs from 0.24 at -6 dB down to 7.7e-4 at 7 dB, where 1 Mbit
+        # holds about 770 errors.
+        point = PointSpec(snr, scheme, "wh", "haar", False, users)
+        record = run_point(point, 10**9, 10**6, point_seed(3, point))
+        assert record.bits_sent >= 10**6
+        assert abs(self.z(record, theoretical_ber(scheme, snr))) < 4
+
+    def test_db2_row_follows_the_theory(self):
+        point = PointSpec(2.0, "qpsk", "gold", "db2", False, 5)
+        record = run_point(point, 10**9, 10**6, point_seed(3, point))
+        assert abs(self.z(record, theoretical_ber("qpsk", 2.0))) < 4
+
+    def test_total_power_row_follows_the_shifted_theory(self):
+        point = PointSpec(4.0, "bpsk", "gcs", "haar", False, 7, total_power=True)
+        record = run_point(point, 10**9, 10**6, point_seed(3, point))
+        p = theoretical_ber("bpsk", 4.0 - 10.0 * math.log10(7))
+        assert abs(self.z(record, p)) < 4
+
+    @pytest.mark.parametrize("snr", [16.0, 20.0])
+    @pytest.mark.parametrize("scheme", ["bpsk", "qpsk"])
+    def test_no_flip_at_high_snr(self, scheme, snr):
+        # p is below 2e-19 at 16 dB: 10 Mbit expect no error.
+        point = PointSpec(snr, scheme, "wh", "haar", False, 7)
+        record = run_point(point, 1, 10**7, point_seed(3, point))
+        assert record.bits_sent >= 10**7 and record.bit_errors == 0
 
 
 class TestTheory:
@@ -825,7 +916,7 @@ class TestOutputs:
             for point in extra]
         write_outputs(records, tmp_path, config)
         digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-        assert digest == "a49cc7ab1540db6c3b222205ab5bd6db29d9f86cec71f487ed0fc845523f8d6d"
+        assert digest == "ec4c9250c463412a3c47fe284c47fe8db568231a96c8a1de42e13cdeae75988e"
 
     def test_golden_digest_of_first_chunks(self, tmp_path):
         # Every point of this grid reaches its error target in its first
@@ -842,7 +933,7 @@ class TestOutputs:
         assert all(r.bit_errors >= 100 and r.bits_sent <= 20_000 for r in records)
         write_outputs(records, tmp_path, config)
         digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
-        assert digest == "6a53b7cd65def504ca351e4dfc242d995655d4bb1330685e1f8d75648856bada"
+        assert digest == "86a7c14c1cb817d23f86122c7fabf00bb0945d4ae7d869e4aee9bba35a4c920f"
 
     @pytest.mark.parametrize("preset, drop_last, message", [
         ("fig9", False, r"unknown preset 'fig9' \(choose from \['fig2'"),
